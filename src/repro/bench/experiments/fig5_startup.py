@@ -35,9 +35,9 @@ QUICK_SIZES = [128, 512, 2048]
 #: nor interesting (the paper's point is that it cannot scale).
 SCALE_SIZES = [16384, 32768, 65536, 131072, 262144, 524288, 1048576]
 #: Sizes at or above this run through the analytical phase-model layer
-#: (``macro=True``): the exact engine's per-PE generator swarm is past
-#: its memory/wall budget there, and the macro layer reproduces the
-#: startup metrics bit for bit (see tests/core/test_macro_equivalence).
+#: (``macro_phases=True``): the exact engine's per-PE generator swarm
+#: is past its memory/wall budget there, and the macro layer reproduces
+#: the startup metrics bit for bit (see tests/core/test_macro_equivalence).
 MACRO_THRESHOLD = 131072
 
 
@@ -101,7 +101,7 @@ def run_scale(sizes: Optional[Sequence[int]] = None) -> ExperimentResult:
     pool would only add fork + result-pickling overhead (and at 65,536
     PEs, several gigabytes of resident simulation state per worker).
     Sizes at or above :data:`MACRO_THRESHOLD` use the analytical phase
-    models (``macro=True``), which is what carries the curve to
+    models (``macro_phases=True``), which is what carries the curve to
     1,048,576 PEs on one core.
 
     Each point records host wall seconds and peak RSS (``getrusage``
@@ -124,7 +124,7 @@ def run_scale(sizes: Optional[Sequence[int]] = None) -> ExperimentResult:
         # column is how long the simulator itself takes per point.
         t0 = time.perf_counter()  # lint: allow-wall-clock
         result = run_job(HelloWorld(), npes, PROPOSED, testbed="B",
-                         macro=macro)
+                         macro_phases=macro)
         wall_s = time.perf_counter() - t0  # lint: allow-wall-clock
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         raw[npes] = result

@@ -55,21 +55,18 @@ def job_spec(
     config: RuntimeConfig,
     testbed: str = "A",
     ppn: Optional[int] = None,
-    observe: Any = False,
-    check=None,
-    macro: bool = False,
     **config_overrides,
 ) -> JobSpec:
     """Describe one job on the named paper testbed (A or B).
 
-    ``observe`` accepts ``bool``, ``{"timeline": ...}``, or a
-    :class:`repro.obs.TimelineConfig` (see ``repro.obs.timeline``).
-    ``macro=True`` routes through the analytical phase-model layer
-    (closed-form startup; the very-large-scale path)."""
+    ``config_overrides`` are :class:`RuntimeConfig` fields evolved onto
+    ``config`` — e.g. ``seed=7``, ``observe={"timeline": True}``,
+    ``check=True`` or ``macro_phases=True`` (the analytical phase-model
+    layer, the very-large-scale path)."""
     if config_overrides:
         config = config.evolve(**config_overrides)
     return JobSpec(app=app, npes=npes, config=config, testbed=testbed,
-                   ppn=ppn, observe=observe, check=check, macro=macro)
+                   ppn=ppn)
 
 
 def run_job(
@@ -78,9 +75,6 @@ def run_job(
     config: RuntimeConfig,
     testbed: str = "A",
     ppn: Optional[int] = None,
-    observe: Any = False,
-    check=None,
-    macro: bool = False,
     **config_overrides,
 ) -> JobResult:
     """Run one job on the named paper testbed (A or B), in-process.
@@ -90,10 +84,11 @@ def run_job(
     (``observe={"timeline": True}`` adds the sampled time-series).
     ``check`` (a :class:`repro.check.CheckPlan`, config dict, or
     ``True``) arms the invariant sanitizer; the result then carries a
-    ``check`` report.  ``macro=True`` uses the analytical phase models.
+    ``check`` report.  ``macro_phases=True`` uses the analytical phase
+    models.  Like every other override, each is a RuntimeConfig field
+    (see :func:`job_spec`).
     """
     return execute(job_spec(app, npes, config, testbed=testbed, ppn=ppn,
-                            observe=observe, check=check, macro=macro,
                             **config_overrides))
 
 

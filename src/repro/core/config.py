@@ -47,34 +47,42 @@ class RuntimeConfig:
     heap_backing_kb: int = 64
     #: RNG master seed for the whole job.
     seed: int = 12345
-    #: Enable the flight recorder (:mod:`repro.obs`): span tracing +
-    #: metrics registry on every substrate.  Off by default; when off
-    #: the instrumentation costs one predicate check per site.
-    #: Accepts ``bool``, ``{"timeline": ...}`` (adds the time-series
-    #: sampler), or a :class:`repro.obs.TimelineConfig`; normalised to
-    #: ``False`` / ``True`` / ``TimelineConfig`` so the dataclass stays
-    #: hashable.
+    #: The opt-ins below are coerced, folded and validated here, once:
+    #: ``Job`` keyword overrides and ``JobSpec`` both resolve through
+    #: :meth:`evolve`, and the spec hash reads the folded fields.  An
+    #: opt-in that would do nothing is stored as its "off" form, so
+    #: every spelling of the same run compares (and hashes) equal.
+    #:
+    #: Flight recorder (:mod:`repro.obs`): span tracing + metrics
+    #: registry on every substrate.  Off by default; when off the
+    #: instrumentation costs one predicate check per site.  Accepts
+    #: ``bool``, ``{"timeline": ...}`` (adds the time-series sampler),
+    #: or a :class:`repro.obs.TimelineConfig`; stored as ``False`` /
+    #: ``True`` / ``TimelineConfig`` so the dataclass stays hashable.
     observe: Any = False
     #: Deterministic fault plan (:class:`repro.faults.FaultPlan` or the
-    #: equivalent config dict); ``None`` disables injection.
+    #: equivalent config dict); ``None`` (or a plan with no rules)
+    #: disables injection.
     fault_plan: Optional[FaultPlan] = None
     #: Invariant sanitizer plan (:class:`repro.check.CheckPlan`, the
     #: equivalent config dict, or ``True`` for the default plan);
-    #: ``None`` disables auditing.
+    #: ``None``/``False`` (or a plan arming no auditor) disables
+    #: auditing.
     check: Optional[CheckPlan] = None
     #: Connection-lifecycle policy (:class:`repro.gasnet.LifecyclePolicy`
     #: or the equivalent config dict): idle-connection reaping and
     #: transparent reconnect on the on-demand conduit.  ``None`` (the
     #: default) keeps eviction off — connections live until finalize,
-    #: exactly as in the paper's evaluation.  Ignored by the static
-    #: conduit, which owns no per-peer lifecycle.
+    #: exactly as in the paper's evaluation.  A disabled policy, or any
+    #: policy under ``connection_mode="static"`` (whose conduit owns no
+    #: per-peer lifecycle), is stored as ``None``.
     lifecycle: Optional[LifecyclePolicy] = None
     #: Analytical phase models (:mod:`repro.sim.macro`): reproduce the
     #: startup metrics through closed-form cost curves instead of the
     #: per-PE event swarm.  Off by default — the exact engine is the
     #: reference; macro mode exists for very large scale points
-    #: (Figure 5 beyond ~10^5 PEs).  Incompatible with trace, faults,
-    #: observe, check and lifecycle; ``Job(macro=...)`` overrides.
+    #: (Figure 5 beyond ~10^5 PEs).  Incompatible with faults, observe,
+    #: check and lifecycle (rejected here) and with ``Job(trace=True)``.
     macro_phases: bool = False
 
     def __post_init__(self) -> None:
@@ -88,40 +96,55 @@ class RuntimeConfig:
             raise ConfigError("heap_mb must be positive")
         if self.heap_backing_kb <= 0:
             raise ConfigError("heap_backing_kb must be positive")
-        object.__setattr__(self, "observe", canonical_observe(self.observe))
-        if isinstance(self.fault_plan, dict):
-            object.__setattr__(
-                self, "fault_plan", FaultPlan.from_dict(self.fault_plan)
-            )
-        elif self.fault_plan is not None and not isinstance(
-            self.fault_plan, FaultPlan
-        ):
+        set_ = object.__setattr__
+        set_(self, "observe", canonical_observe(self.observe))
+        plan = self.fault_plan
+        if isinstance(plan, dict):
+            plan = FaultPlan.from_dict(plan)
+        elif plan is not None and not isinstance(plan, FaultPlan):
             raise ConfigError(
-                f"fault_plan must be a FaultPlan or config dict, "
-                f"got {self.fault_plan!r}"
+                f"fault_plan must be a FaultPlan or config dict, got {plan!r}"
             )
-        if self.check is True:
-            object.__setattr__(self, "check", CheckPlan())
-        elif self.check is False:
-            object.__setattr__(self, "check", None)
-        elif isinstance(self.check, dict):
-            object.__setattr__(self, "check", CheckPlan.from_dict(self.check))
-        elif self.check is not None and not isinstance(self.check, CheckPlan):
+        set_(self, "fault_plan", None if plan is None or plan.empty else plan)
+        check = self.check
+        if check is True:
+            check = CheckPlan()
+        elif check is False:
+            check = None
+        elif isinstance(check, dict):
+            check = CheckPlan.from_dict(check)
+        elif check is not None and not isinstance(check, CheckPlan):
             raise ConfigError(
                 f"check must be a CheckPlan, config dict, or bool, "
-                f"got {self.check!r}"
+                f"got {check!r}"
             )
-        if isinstance(self.lifecycle, dict):
-            object.__setattr__(
-                self, "lifecycle", LifecyclePolicy.from_dict(self.lifecycle)
-            )
-        elif self.lifecycle is not None and not isinstance(
-            self.lifecycle, LifecyclePolicy
-        ):
+        set_(self, "check", None if check is None or check.empty else check)
+        policy = self.lifecycle
+        if isinstance(policy, dict):
+            policy = LifecyclePolicy.from_dict(policy)
+        elif policy is not None and not isinstance(policy, LifecyclePolicy):
             raise ConfigError(
                 f"lifecycle must be a LifecyclePolicy or config dict, "
-                f"got {self.lifecycle!r}"
+                f"got {policy!r}"
             )
+        if policy is not None and (
+            not policy.enabled or self.connection_mode == "static"
+        ):
+            policy = None
+        set_(self, "lifecycle", policy)
+        if self.macro_phases:
+            # The macro layer reproduces metrics, not events: anything
+            # that hooks the event stream has nothing to hook.
+            if self.fault_plan is not None:
+                raise ConfigError("macro mode cannot inject faults")
+            if self.observe is not False:
+                raise ConfigError("macro mode has no flight recorder")
+            if self.check is not None:
+                raise ConfigError("macro mode cannot run the sanitizer")
+            if self.lifecycle is not None:
+                raise ConfigError(
+                    "macro mode does not model connection lifecycle"
+                )
 
     # -- the paper's two corners ------------------------------------------
     # The unmodified corners are process-wide singletons: RuntimeConfig

@@ -29,7 +29,7 @@ from ..gasnet.conduit import install_timeline_probes as _conduit_probes
 from ..ib import HCA, Fabric, VerbsContext
 from ..ib.hca import install_timeline_probes as _hca_probes
 from ..mpi import Communicator
-from ..obs import Observability, parse_observe
+from ..obs import Observability, TimelineConfig
 from ..shmem.runtime import install_timeline_probes as _shmem_probes
 from ..pmi import PMIClient, PMIDomain
 from ..shmem import ShmemPE
@@ -59,7 +59,17 @@ class Job:
     ) -> None:
         if npes < 1:
             raise ConfigError("npes must be >= 1")
-        self.config = config or RuntimeConfig.proposed()
+        config = config or RuntimeConfig.proposed()
+        # Keyword overrides: an explicit value (False included) wins
+        # over the config, None means "not set".  RuntimeConfig coerces,
+        # folds and validates them, macro guard rails included.
+        overrides = {
+            name: value
+            for name, value in (("fault_plan", faults), ("observe", observe),
+                                ("check", check), ("macro_phases", macro))
+            if value is not None
+        }
+        self.config = config.evolve(**overrides) if overrides else config
         if cluster is not None:
             self.cluster = cluster
         else:
@@ -72,32 +82,11 @@ class Job:
         self.npes = npes
 
         # -- analytical phase models (macro mode) ----------------------
-        # Explicit arg wins over config, like faults/observe/check.
-        self.macro = (
-            bool(macro) if macro is not None else self.config.macro_phases
-        )
+        self.macro = self.config.macro_phases
         if self.macro:
-            # The macro layer reproduces metrics, not events: anything
-            # that hooks the event stream has nothing to hook.
             if trace:
                 raise ConfigError(
                     "macro mode produces no event trace (trace=True)"
-                )
-            plan = faults if faults is not None else self.config.fault_plan
-            if plan is not None and not plan.empty:
-                raise ConfigError("macro mode cannot inject faults")
-            obs_arg = observe if observe is not None else self.config.observe
-            obs_on, _ = parse_observe(obs_arg)
-            if obs_on:
-                raise ConfigError("macro mode has no flight recorder")
-            if check is not None and check is not False or (
-                check is None and self.config.check is not None
-            ):
-                raise ConfigError("macro mode cannot run the sanitizer")
-            lifecycle = self.config.lifecycle
-            if lifecycle is not None and lifecycle.enabled:
-                raise ConfigError(
-                    "macro mode does not model connection lifecycle"
                 )
             supported_corner(self.config)  # fail fast on ablations
             self._scheduler = scheduler
@@ -112,15 +101,13 @@ class Job:
         # -- machine assembly ------------------------------------------
         self.sim = Simulator(scheduler=scheduler)
         #: Flight recorder (spans + metrics registry, optionally the
-        #: timeline sampler); None unless the job was built with
-        #: observe=True / observe={"timeline": ...} (arg wins over
-        #: config).  Every substrate holds an ``obs`` pointer that stays
-        #: None when off, so instrumentation costs one predicate check
-        #: per site.
-        obs_arg = observe if observe is not None else self.config.observe
-        obs_on, timeline_cfg = parse_observe(obs_arg)
+        #: timeline sampler); None unless the config enables observe.
+        #: Every substrate holds an ``obs`` pointer that stays None when
+        #: off, so instrumentation costs one predicate check per site.
+        observe = self.config.observe
+        timeline_cfg = observe if isinstance(observe, TimelineConfig) else None
         self.obs: Optional[Observability] = (
-            Observability(self.sim, timeline=timeline_cfg) if obs_on else None
+            Observability(self.sim, timeline=timeline_cfg) if observe else None
         )
         self.counters = (
             self.obs.counters_facade() if self.obs is not None else Counters()
@@ -149,10 +136,10 @@ class Job:
             self.pmi_domain.obs = self.obs
             for client in self.pmi:
                 client.obs = self.obs
-        # -- fault injection (explicit arg wins over config) ------------
-        plan = faults if faults is not None else self.config.fault_plan
+        # -- fault injection ------------------------------------------
+        plan = self.config.fault_plan
         self.fault_injector: Optional[FaultInjector] = None
-        if plan is not None and not plan.empty:
+        if plan is not None:
             self.fault_injector = FaultInjector(
                 plan, self.sim, self.rng, self.counters
             ).install(
@@ -161,21 +148,10 @@ class Job:
             )
             if self.obs is not None:
                 self.fault_injector.obs = self.obs
-        # -- invariant sanitizer (explicit arg wins over config) --------
-        check_plan = check if check is not None else self.config.check
-        if check_plan is True:
-            check_plan = CheckPlan()
-        elif check_plan is False:
-            check_plan = None
-        elif isinstance(check_plan, dict):
-            check_plan = CheckPlan.from_dict(check_plan)
-        elif check_plan is not None and not isinstance(check_plan, CheckPlan):
-            raise ConfigError(
-                f"check must be a CheckPlan, config dict, or bool, "
-                f"got {check_plan!r}"
-            )
+        # -- invariant sanitizer ----------------------------------------
+        check_plan = self.config.check
         self.sanitizer: Optional[Sanitizer] = None
-        if check_plan is not None and not check_plan.empty:
+        if check_plan is not None:
             self.sanitizer = Sanitizer(
                 check_plan, self.sim, obs=self.obs
             ).install(hcas=self.hcas, pmi_domain=self.pmi_domain)
@@ -198,10 +174,7 @@ class Job:
             for r in range(npes)
         ]
         lifecycle = self.config.lifecycle
-        if (
-            lifecycle is not None and lifecycle.enabled
-            and self.config.connection_mode == "ondemand"
-        ):
+        if lifecycle is not None:
             for conduit in self.conduits:
                 conduit.install_lifecycle(lifecycle)
         self.pes = [

@@ -10,27 +10,19 @@ content-addressed result cache on exactly this property.
 
 Canonicalisation rules
 ----------------------
-The hash covers the *effective* simulation inputs, after the same
-precedence :func:`repro.exec.execute` and :class:`repro.core.Job`
-apply, so trivially-aliased spellings of the same run share a hash:
+The hash covers the *effective* simulation inputs, so trivially-aliased
+spellings of the same run share a hash:
 
 * ``label`` is display-only and **never** hashed.
 * ``ppn=None`` folds to the testbed default (8 on A, 16 on B) —
   the value ``_cluster_for`` would use anyway.
-* ``seed`` (the per-spec override) folds into ``config.seed``:
-  ``JobSpec(config=cfg, seed=7)`` and ``JobSpec(config=cfg.evolve(
-  seed=7))`` hash identically, mirroring ``execute()``'s
-  ``config.evolve(seed=...)``.
-* spec-level ``observe`` / ``faults`` / ``check`` / ``macro`` win over
-  their ``config`` counterparts exactly as ``Job`` resolves them; only
-  the effective value is hashed, in its canonical plain form
-  (``canonical_observe`` / ``as_dict``).
-* empty plans fold to ``None``: a ``FaultPlan`` with no rules, a
-  ``CheckPlan`` with every auditor off, an empty ``cost_overrides``
-  tuple, and a disabled ``LifecyclePolicy`` all behave exactly like
-  their absent forms in ``Job``, so they hash like them too.
-* a lifecycle policy under ``connection_mode="static"`` folds to
-  ``None`` (the static conduit never installs one).
+* an empty ``cost_overrides`` tuple folds to ``None``.
+* the ``config`` section is every field of the
+  :class:`~repro.core.RuntimeConfig`, read from ``dataclasses.fields``
+  so a new field can never be left out.  ``RuntimeConfig`` has already
+  coerced and folded its opt-ins (empty plans, a disabled or
+  static-mode lifecycle policy, the observe spellings), so the config
+  *is* the effective run and no precedence is resolved here.
 * plan ``name`` fields are kept conservatively: they are display-only
   today, but hashing them costs only a missed dedup, never a wrong
   cache hit.
@@ -48,12 +40,14 @@ import json
 import numbers
 from typing import Any, Dict, List, Mapping, Optional
 
+from ..core.config import RuntimeConfig
 from ..errors import ConfigError
 
 __all__ = [
     "default_ppn",
     "canonical_spec",
     "canonical_json",
+    "spec_description",
     "spec_hash",
     "spec_identity",
 ]
@@ -61,11 +55,14 @@ __all__ = [
 #: Bump when the canonical layout changes incompatibly — persisted
 #: caches keyed on the old layout then miss cleanly instead of
 #: colliding.
-_CANONICAL_VERSION = 1
+_CANONICAL_VERSION = 2
 
 #: Hex digits of the full hash appended to :func:`spec_identity`
 #: strings (48 bits — collision-free at any realistic sweep size).
 _IDENTITY_DIGEST_CHARS = 12
+
+#: Seeds other than the default show up in :func:`spec_description`.
+_DEFAULT_SEED = RuntimeConfig.seed
 
 
 def default_ppn(testbed: str) -> int:
@@ -107,16 +104,6 @@ def _plain(value: Any, where: str) -> Any:
     )
 
 
-def _canonical_observe(value: Any) -> Any:
-    """``False`` / ``True`` / timeline-config dict."""
-    from ..obs.timeline import canonical_observe
-
-    canon = canonical_observe(value)
-    if canon is False or canon is True:
-        return canon
-    return _plain(canon.as_dict(), "observe")
-
-
 def canonical_spec(spec: Any) -> Dict[str, Any]:
     """The canonical plain-data form of a spec (what gets hashed).
 
@@ -128,38 +115,11 @@ def canonical_spec(spec: Any) -> Dict[str, Any]:
     params = {
         k: _plain(v, f"app.{k}") for k, v in sorted(vars(app).items())
     }
-
-    config = spec.config
-
-    # Effective values, resolved with Job's arg-wins-over-config rules.
-    observe = spec.observe if spec.observe is not False else config.observe
-    faults = spec.faults if spec.faults is not None else config.fault_plan
-    check = spec.check if spec.check is not None else config.check
-    macro = True if spec.macro else bool(config.macro_phases)
-    seed = spec.seed if spec.seed is not None else config.seed
-
-    faults_c = (
-        None if faults is None or faults.empty
-        else _plain(faults.as_dict(), "faults")
-    )
-    check_c = (
-        None if check is None or check.empty
-        else _plain(check.as_dict(), "check")
-    )
-    lifecycle = config.lifecycle
-    lifecycle_c = (
-        None
-        if (lifecycle is None or not lifecycle.enabled
-            or config.connection_mode != "ondemand")
-        else _plain(lifecycle.as_dict(), "lifecycle")
-    )
-
     overrides = spec.cost_overrides
     overrides_c: Optional[List[List[Any]]] = (
         None if not overrides
         else [[k, _plain(v, f"cost_overrides.{k}")] for k, v in overrides]
     )
-
     return {
         "v": _CANONICAL_VERSION,
         "app": {"type": app_type, "params": params},
@@ -167,20 +127,7 @@ def canonical_spec(spec: Any) -> Dict[str, Any]:
         "testbed": spec.testbed,
         "ppn": spec.ppn if spec.ppn is not None else default_ppn(spec.testbed),
         "cost_overrides": overrides_c,
-        "config": {
-            "connection_mode": config.connection_mode,
-            "pmi_mode": config.pmi_mode,
-            "barrier_mode": config.barrier_mode,
-            "piggyback_segments": config.piggyback_segments,
-            "heap_mb": _plain(config.heap_mb, "config.heap_mb"),
-            "heap_backing_kb": config.heap_backing_kb,
-            "seed": seed,
-            "lifecycle": lifecycle_c,
-        },
-        "observe": _canonical_observe(observe),
-        "faults": faults_c,
-        "check": check_c,
-        "macro": macro,
+        "config": _plain(spec.config, "config"),
     }
 
 
@@ -202,31 +149,40 @@ def spec_hash(spec: Any) -> str:
     return hashlib.sha256(canonical_json(spec).encode("ascii")).hexdigest()
 
 
+def spec_description(spec: Any) -> str:
+    """The descriptive (not collision-free) name of a spec: app, size,
+    design point, testbed, plus a tag for every armed opt-in of the
+    effective config.  ``JobSpec.key`` shows it when no ``label`` is
+    set; :func:`spec_identity` prefixes its hash with it."""
+    config = spec.config
+    app_name = getattr(spec.app, "name", type(spec.app).__name__)
+    parts = [app_name, f"n{spec.npes}", config.label, f"tb{spec.testbed}"]
+    if spec.ppn is not None:
+        parts.append(f"ppn{spec.ppn}")
+    if config.seed != _DEFAULT_SEED:
+        parts.append(f"seed{config.seed}")
+    if config.observe:
+        parts.append("obs" if config.observe is True else "obs-tl")
+    if config.fault_plan is not None:
+        parts.append("faults")
+    if config.check is not None:
+        parts.append("check")
+    if config.lifecycle is not None:
+        parts.append("lifecycle")
+    if spec.cost_overrides:
+        parts.append("co")
+    if config.macro_phases:
+        parts.append("macro")
+    return "-".join(parts)
+
+
 def spec_identity(spec: Any) -> str:
     """Collision-free human-readable identity (never the ``label``).
 
-    The derived descriptive prefix (app, size, design point, every
-    armed subsystem) plus the first 12 hex chars of
+    :func:`spec_description` plus the first 12 hex chars of
     :func:`spec_hash`, so error messages and progress lines always
     distinguish specs that differ *anywhere* semantic — including
-    ``faults`` and ``cost_overrides``, which the display ``key``
-    historically omitted.
+    ``cost_overrides`` and config fields the description elides.
     """
-    app_name = getattr(spec.app, "name", type(spec.app).__name__)
-    parts = [app_name, f"n{spec.npes}", spec.config.label,
-             f"tb{spec.testbed}"]
-    if spec.ppn is not None:
-        parts.append(f"ppn{spec.ppn}")
-    if spec.seed is not None:
-        parts.append(f"seed{spec.seed}")
-    if spec.observe:
-        parts.append("obs" if spec.observe is True else "obs-tl")
-    if spec.faults is not None and not spec.faults.empty:
-        parts.append("faults")
-    if spec.check is not None:
-        parts.append("check")
-    if spec.cost_overrides:
-        parts.append("co")
-    if spec.macro:
-        parts.append("macro")
-    return "-".join(parts) + f"#{spec_hash(spec)[:_IDENTITY_DIGEST_CHARS]}"
+    return (f"{spec_description(spec)}"
+            f"#{spec_hash(spec)[:_IDENTITY_DIGEST_CHARS]}")

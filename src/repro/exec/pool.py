@@ -45,19 +45,20 @@ import gc
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..check import CheckPlan
+from ..cluster.params import CostModel
+from ..core import Job, RuntimeConfig
 from ..errors import ConfigError
-from ..faults import FaultPlan
-from .identity import default_ppn, spec_identity
+from .identity import default_ppn, spec_description, spec_identity
 
 __all__ = ["JobSpec", "SweepError", "execute", "resolve_workers",
            "resolve_workers_info", "run_sweep"]
 
 _TESTBEDS = ("A", "B")
+_COST_FIELDS = frozenset(f.name for f in fields(CostModel))
 
 #: Jobs at or above this size leave enough cyclic garbage (generators,
 #: waitables, conduit machinery) that sweeping it eagerly after the run
@@ -74,8 +75,8 @@ class SweepError(RuntimeError):
     The message names the job by its collision-free :attr:`JobSpec.
     identity` (with the display ``label``, when set, as a prefix) so a
     failure is never misattributed to a different point of the grid —
-    ``label`` alone can be shared, and the descriptive ``key`` omits
-    ``faults``/``cost_overrides``.
+    ``label`` alone can be shared, and the descriptive ``key`` elides
+    override details.
     """
 
     def __init__(self, spec: "JobSpec", cause: BaseException) -> None:
@@ -90,39 +91,27 @@ class SweepError(RuntimeError):
 class JobSpec:
     """One picklable experiment point.
 
-    ``config`` (with ``seed`` folded in) plus the cluster description
+    ``config`` (design axes, seed and every opt-in: observe, faults,
+    check, lifecycle, macro) plus the cluster description
     (``testbed``/``ppn``/``cost_overrides``) and the ``app`` instance
-    fully determine the simulation.  App instances must be picklable
-    module-level classes holding plain parameters — every app in
-    ``repro.apps`` and ``repro.bench.microbench`` qualifies.
+    fully determine the simulation.  Vary a run through the config
+    (``config.evolve(seed=7, observe=True)``) — the spec itself holds
+    no second copy of any config field.  App instances must be
+    picklable module-level classes holding plain parameters — every
+    app in ``repro.apps`` and ``repro.bench.microbench`` qualifies.
     """
 
     app: Any
     npes: int
-    config: Any  # RuntimeConfig (kept untyped to avoid an import cycle)
+    config: RuntimeConfig
     testbed: str = "A"
     ppn: Optional[int] = None
-    #: Override ``config.seed`` for this point (ablation sweeps vary the
-    #: seed without re-evolving the whole config).
-    seed: Optional[int] = None
-    #: Flight-recorder switch: ``bool``, ``{"timeline": ...}``, or a
-    #: ``repro.obs.TimelineConfig``; normalised to ``False`` / ``True``
-    #: / ``TimelineConfig`` so specs stay hashable + picklable.
-    observe: Any = False
-    faults: Optional[FaultPlan] = None
-    #: Invariant sanitizer plan (CheckPlan or config dict); ``None``
-    #: runs unaudited.
-    check: Optional[CheckPlan] = None
     #: CostModel fields to evolve on top of the testbed's preset (e.g.
     #: ``{"qp_cache_entries": 8}`` for ablation D5).  Normalised to a
     #: sorted tuple so specs stay hashable.
     cost_overrides: Optional[Tuple[Tuple[str, Any], ...]] = None
     #: Human-readable tag used in error messages and progress output.
     label: Optional[str] = None
-    #: Run through the analytical phase-model layer instead of the
-    #: exact event simulation (``Job(macro=True)``); the scale sweeps
-    #: flip this on for their largest points.
-    macro: bool = False
 
     def __post_init__(self) -> None:
         if self.npes < 1:
@@ -134,18 +123,15 @@ class JobSpec:
             )
         if self.ppn is not None and self.ppn < 1:
             raise ConfigError(f"JobSpec.ppn must be >= 1, got {self.ppn}")
-        from ..obs.timeline import canonical_observe
-
-        object.__setattr__(self, "observe", canonical_observe(self.observe))
         overrides = self.cost_overrides
         if isinstance(overrides, Mapping):
             overrides = tuple(sorted(overrides.items()))
             object.__setattr__(self, "cost_overrides", overrides)
         if overrides:
-            # Validate here, with the offending key in hand — an
-            # unhashable value (e.g. a list) would otherwise explode
-            # deep inside _custom_cluster's lru_cache with an opaque
-            # TypeError long after construction.
+            # Validate here, with the offending key in hand — a
+            # misspelt field or an unhashable value (e.g. a list) would
+            # otherwise explode deep inside _custom_cluster long after
+            # construction, with an opaque TypeError.
             for entry in overrides:
                 try:
                     key, value = entry
@@ -159,6 +145,11 @@ class JobSpec:
                         f"JobSpec.cost_overrides keys must be strings, "
                         f"got {key!r}"
                     )
+                if key not in _COST_FIELDS:
+                    raise ConfigError(
+                        f"JobSpec.cost_overrides: {key!r} is not a "
+                        f"CostModel field"
+                    )
                 try:
                     hash(value)
                 except TypeError:
@@ -166,53 +157,24 @@ class JobSpec:
                         f"JobSpec.cost_overrides[{key!r}] must be a "
                         f"hashable value, got {value!r}"
                     )
-        if self.check is True:
-            object.__setattr__(self, "check", CheckPlan())
-        elif self.check is False:
-            object.__setattr__(self, "check", None)
-        elif isinstance(self.check, Mapping):
-            object.__setattr__(self, "check", CheckPlan.from_dict(dict(self.check)))
-        elif self.check is not None and not isinstance(self.check, CheckPlan):
-            raise ConfigError(
-                f"JobSpec.check must be a CheckPlan, config dict, or bool, "
-                f"got {self.check!r}"
-            )
 
     @property
     def key(self) -> str:
-        """Display string: the ``label`` when set, else a descriptive
-        derived form.  NOT collision-free — distinct specs can share a
-        label, and the derived form elides override details.  Anything
-        attributing behaviour to a spec (errors, dedup, caching) must
-        use :attr:`identity` or :func:`repro.exec.spec_hash` instead.
+        """Display string: the ``label`` when set, else the descriptive
+        form of :func:`spec_description`.  NOT collision-free — distinct
+        specs can share a label, and the derived form elides override
+        details.  Anything attributing behaviour to a spec (errors,
+        dedup, caching) must use :attr:`identity` or
+        :func:`repro.exec.spec_hash` instead.
         """
-        if self.label:
-            return self.label
-        app_name = getattr(self.app, "name", type(self.app).__name__)
-        parts = [app_name, f"n{self.npes}", self.config.label,
-                 f"tb{self.testbed}"]
-        if self.ppn is not None:
-            parts.append(f"ppn{self.ppn}")
-        if self.seed is not None:
-            parts.append(f"seed{self.seed}")
-        if self.observe:
-            parts.append("obs" if self.observe is True else "obs-tl")
-        if self.faults is not None and not self.faults.empty:
-            parts.append("faults")
-        if self.check is not None:
-            parts.append("check")
-        if self.cost_overrides:
-            parts.append("co")
-        if self.macro:
-            parts.append("macro")
-        return "-".join(parts)
+        return self.label or spec_description(self)
 
     @property
     def identity(self) -> str:
         """Collision-free identity string (see :func:`spec_identity`):
         the derived descriptive form — ``label`` never shadows it —
         plus a short content-hash suffix covering every semantic field,
-        including ``faults`` and ``cost_overrides``."""
+        including ``cost_overrides`` and every config field."""
         return spec_identity(self)
 
 
@@ -244,20 +206,7 @@ def execute(spec: JobSpec) -> Any:
     This is the single code path both the serial fallback and the pool
     workers run — parallel == serial by construction.
     """
-    from ..core import Job
-
-    config = spec.config
-    if spec.seed is not None:
-        config = config.evolve(seed=spec.seed)
-    job = Job(
-        npes=spec.npes,
-        config=config,
-        cluster=_cluster_for(spec),
-        faults=spec.faults,
-        observe=spec.observe or None,
-        check=spec.check,
-        macro=spec.macro or None,
-    )
+    job = Job(npes=spec.npes, config=spec.config, cluster=_cluster_for(spec))
     try:
         return job.run(spec.app)
     finally:
@@ -365,7 +314,6 @@ def _warm_worker() -> None:
     inherits the parent's modules)."""
     import repro.apps  # noqa: F401
     import repro.bench.microbench  # noqa: F401
-    import repro.core  # noqa: F401
 
 
 def _run_serial(specs: List[JobSpec],

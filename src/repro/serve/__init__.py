@@ -1,39 +1,22 @@
-"""The multi-tenant sweep service (ROADMAP item 3; see DESIGN.md).
+"""The content-addressed result cache (see DESIGN.md).
 
 ``repro.exec`` made a :class:`~repro.exec.JobSpec` a picklable, fully
-deterministic description of one run; this package exploits that to
-serve *streams* of specs the way a production system serves traffic:
-
-* :mod:`repro.serve.cache` — :class:`ResultCache`, a content-addressed
-  result store (memory + disk tiers, LRU byte budgets) keyed by
-  :func:`repro.exec.spec_hash`; a hit is free and provably exact.
-* :mod:`repro.serve.service` — :class:`SweepService`, the long-lived
-  admission + fair-share scheduling front end that dedupes in-flight
-  and completed specs and fans genuine misses over the sweep pool.
-* :mod:`repro.serve.trace` — :class:`JobArrival` records and the
-  deterministic skewed multi-tenant :func:`synthetic_trace` generator.
-* :mod:`repro.serve.store` — :class:`ResultStore`, the queryable read
-  API over everything the service has computed.
+deterministic description of one run, and :func:`repro.exec.spec_hash`
+a collision-free digest of it.  :class:`ResultCache` stores each run's
+result under that digest (memory + disk tiers, LRU byte budgets), so a
+hit is free and provably exact: its bytes are the fresh run's bytes
+(:func:`canonical_payload`).
 """
 
 from ..exec import canonical_json, canonical_spec, spec_hash, spec_identity
 from .cache import PICKLE_PROTOCOL, ResultCache, canonical_payload
-from .service import ServiceReport, SweepService
-from .store import ResultStore, StoreEntry
-from .trace import JobArrival, synthetic_trace
 
 __all__ = [
     "PICKLE_PROTOCOL",
-    "JobArrival",
     "ResultCache",
-    "ResultStore",
-    "ServiceReport",
-    "StoreEntry",
-    "SweepService",
     "canonical_json",
     "canonical_payload",
     "canonical_spec",
     "spec_hash",
     "spec_identity",
-    "synthetic_trace",
 ]

@@ -5,9 +5,8 @@ digest of the spec's semantic content — and holds the *pickled bytes*
 of the :class:`~repro.core.metrics.JobResult` a fresh run of that spec
 produces.  Because a JobSpec fully determines its result, a cache hit
 is provably exact: ``cache.get(spec)`` returns an object whose pickle
-serialisation is byte-identical to a fresh ``execute(spec)``'s (the
-``serve-smoke`` gate and ``tests/serve/test_exactness.py`` assert
-this literally).
+serialisation is byte-identical to a fresh ``execute(spec)``'s
+(``tests/serve/test_exactness.py`` asserts this literally).
 
 Two tiers:
 
@@ -18,12 +17,12 @@ Two tiers:
 * **disk** — an optional content-addressed directory
   (``objects/<hh>/<hash>.pkl`` + ``index.json``), written through on
   every ``put`` so the cache survives process restarts and is
-  shareable between service instances.  Its own byte budget evicts
+  shareable between processes.  Its own byte budget evicts
   least-recently-*written* entries.
 
 Hit/miss/eviction counters and byte gauges land on a
-:class:`repro.obs.MetricsRegistry` (``serve.cache.*``), so a service
-run exports cache behaviour through the same snapshot / Prometheus
+:class:`repro.obs.MetricsRegistry` (``serve.cache.*``), so cache
+behaviour is exported through the same snapshot / Prometheus
 path every other subsystem uses.
 """
 

@@ -81,8 +81,10 @@ class TestByteIdentity:
 
         def spec(check):
             return JobSpec(
-                app=HelloWorld(), npes=16, config=RuntimeConfig.proposed(),
-                testbed="A", ppn=8, faults=plan, check=check,
+                app=HelloWorld(), npes=16,
+                config=RuntimeConfig.proposed().evolve(fault_plan=plan,
+                                                       check=check),
+                testbed="A", ppn=8,
             )
 
         base = execute(spec(check=None))

@@ -5,22 +5,26 @@ Three families of property:
 * **Aliasing** — trivially different spellings of the *same effective
   run* must share a content hash (dict vs pre-sorted tuple overrides,
   ``check=True`` vs ``CheckPlan()``, ``observe={"timeline": True}`` vs
-  an explicit ``TimelineConfig``, spec seed vs config seed, explicit
-  default ppn vs ``ppn=None``, empty plans vs absent plans, and any
-  ``label``).
+  an explicit ``TimelineConfig``, a ``job_spec`` seed override vs the
+  config seed, explicit default ppn vs ``ppn=None``, empty plans vs
+  absent plans, and any ``label``).
 * **Distinctness** — two specs differing in *any* semantic field must
   never share a hash; this pins the historical ``key`` bugs where
-  ``faults`` and ``cost_overrides`` silently vanished from identity.
+  ``faults`` and ``cost_overrides`` silently vanished from identity,
+  and perturbs every ``RuntimeConfig`` field so a new field can never
+  be left out of the hash.
 * **Bugfix regressions** — ``SweepError`` names specs collision-free,
   and unhashable ``cost_overrides`` values fail at construction with a
   one-line ``ConfigError`` instead of a deep ``lru_cache`` TypeError.
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.apps import HelloWorld, NasEP
+from repro.bench.runner import job_spec
 from repro.check import CheckPlan
 from repro.core import RuntimeConfig
 from repro.errors import ConfigError
@@ -36,6 +40,13 @@ def _spec(**kw):
     kw.setdefault("npes", 8)
     kw.setdefault("config", RuntimeConfig.proposed())
     return JobSpec(**kw)
+
+
+def _cfg(**overrides):
+    return _spec(config=RuntimeConfig.proposed().evolve(**overrides))
+
+
+LOSSY = FaultPlan(name="loss", ud=(UDFault("drop", prob=0.1),))
 
 
 # ----------------------------------------------------------------------
@@ -62,27 +73,28 @@ class TestAliasing:
         assert spec_hash(a) == spec_hash(b)
 
     def test_check_true_aliases_default_plan(self):
-        assert spec_hash(_spec(check=True)) == spec_hash(
-            _spec(check=CheckPlan()))
+        assert spec_hash(_cfg(check=True)) == spec_hash(
+            _cfg(check=CheckPlan()))
 
     def test_check_in_config_aliases_check_on_spec(self):
-        on_spec = _spec(check=CheckPlan())
+        on_spec = job_spec(HelloWorld(), 8, RuntimeConfig.proposed(),
+                           check=CheckPlan())
         in_config = _spec(config=RuntimeConfig.proposed(check=CheckPlan()))
         assert spec_hash(on_spec) == spec_hash(in_config)
 
     def test_observe_dict_aliases_timeline_config(self):
-        as_dict = _spec(observe={"timeline": True})
-        as_config = _spec(observe={"timeline": TimelineConfig()})
+        as_dict = _cfg(observe={"timeline": True})
+        as_config = _cfg(observe={"timeline": TimelineConfig()})
         assert spec_hash(as_dict) == spec_hash(as_config)
 
     def test_observe_interval_dict_aliases_explicit_config(self):
-        as_dict = _spec(observe={"timeline": {"interval_us": 500.0}})
-        as_config = _spec(
+        as_dict = _cfg(observe={"timeline": {"interval_us": 500.0}})
+        as_config = _cfg(
             observe={"timeline": TimelineConfig(interval_us=500.0)})
         assert spec_hash(as_dict) == spec_hash(as_config)
 
     def test_spec_seed_aliases_config_seed(self):
-        via_spec = _spec(seed=7)
+        via_spec = job_spec(HelloWorld(), 8, RuntimeConfig.proposed(), seed=7)
         via_config = _spec(config=RuntimeConfig.proposed(seed=7))
         assert spec_hash(via_spec) == spec_hash(via_config)
 
@@ -93,8 +105,8 @@ class TestAliasing:
             _spec(testbed="B", ppn=16))
 
     def test_empty_fault_plan_aliases_absent(self):
-        assert spec_hash(_spec(faults=FaultPlan(name="noop"))) == spec_hash(
-            _spec(faults=None))
+        assert spec_hash(_cfg(fault_plan=FaultPlan(name="noop"))) == spec_hash(
+            _cfg(fault_plan=None))
 
     def test_empty_overrides_alias_absent(self):
         assert spec_hash(_spec(cost_overrides={})) == spec_hash(
@@ -116,7 +128,8 @@ class TestAliasing:
     def test_aliased_specs_produce_equal_results(self):
         # The folding rules are only sound if the aliased spellings
         # really do run identically; spot-check one non-trivial pair.
-        via_spec = _spec(npes=4, ppn=2, seed=7)
+        via_spec = job_spec(HelloWorld(), 4, RuntimeConfig.proposed(),
+                            ppn=2, seed=7)
         via_config = _spec(npes=4, ppn=2,
                            config=RuntimeConfig.proposed(seed=7))
         assert spec_hash(via_spec) == spec_hash(via_config)
@@ -131,8 +144,7 @@ class TestDistinctness:
         # The regression ISSUE names: two specs differing ONLY in
         # faults must never share an identity.
         plain = _spec()
-        lossy = _spec(faults=FaultPlan(name="loss",
-                                       ud=(UDFault("drop", prob=0.1),)))
+        lossy = _cfg(fault_plan=LOSSY)
         assert spec_hash(plain) != spec_hash(lossy)
         assert spec_identity(plain) != spec_identity(lossy)
 
@@ -147,15 +159,14 @@ class TestDistinctness:
             _spec(config=RuntimeConfig.current()),
             _spec(testbed="B"),
             _spec(ppn=4),
-            _spec(seed=99),
-            _spec(observe=True),
-            _spec(observe={"timeline": True}),
-            _spec(faults=FaultPlan(name="loss",
-                                   ud=(UDFault("drop", prob=0.1),))),
-            _spec(check=True),
+            _cfg(seed=99),
+            _cfg(observe=True),
+            _cfg(observe={"timeline": True}),
+            _cfg(fault_plan=LOSSY),
+            _cfg(check=True),
             _spec(cost_overrides={"qp_cache_entries": 8}),
             _spec(cost_overrides={"qp_cache_entries": 16}),
-            _spec(macro=True),
+            _cfg(macro_phases=True),
             _spec(app=NasEP()),
         ]
         hashes = [spec_hash(s) for s in variants]
@@ -164,10 +175,9 @@ class TestDistinctness:
         assert len(set(identities)) == len(variants)
 
     def test_fault_probability_changes_the_hash(self):
-        a = _spec(faults=FaultPlan(name="loss",
-                                   ud=(UDFault("drop", prob=0.1),)))
-        b = _spec(faults=FaultPlan(name="loss",
-                                   ud=(UDFault("drop", prob=0.2),)))
+        a = _cfg(fault_plan=LOSSY)
+        b = _cfg(fault_plan=FaultPlan(name="loss",
+                                      ud=(UDFault("drop", prob=0.2),)))
         assert spec_hash(a) != spec_hash(b)
 
     def test_app_params_change_the_hash(self):
@@ -175,12 +185,66 @@ class TestDistinctness:
             _spec(app=NasEP(real_pairs=200)))
 
 
+#: One changed value per RuntimeConfig field, each opt-in in its enabled
+#: form.  Keyed by field name: a new field without an entry here fails
+#: test_every_field_is_perturbed.
+PERTURBATIONS = {
+    "connection_mode": [{"connection_mode": "static"}],
+    "pmi_mode": [{"pmi_mode": "blocking"}],
+    "barrier_mode": [{"barrier_mode": "global"}],
+    "piggyback_segments": [{"piggyback_segments": False}],
+    "heap_mb": [{"heap_mb": 128.0}],
+    "heap_backing_kb": [{"heap_backing_kb": 32}],
+    "seed": [{"seed": 1}],
+    "observe": [{"observe": True}, {"observe": {"timeline": True}}],
+    "fault_plan": [{"fault_plan": LOSSY}],
+    "check": [{"check": True}],
+    "lifecycle": [{"lifecycle": LifecyclePolicy()}],
+    "macro_phases": [{"macro_phases": True}],
+}
+
+
+class TestEveryConfigField:
+    def test_every_field_is_perturbed(self):
+        names = {f.name for f in dataclasses.fields(RuntimeConfig)}
+        assert names == set(PERTURBATIONS)
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param(o, id=f"{name}-{i}")
+        for name, variants in PERTURBATIONS.items()
+        for i, o in enumerate(variants)
+    ])
+    def test_perturbing_a_field_changes_the_hash(self, overrides):
+        base = _spec()
+        perturbed = _cfg(**overrides)
+        (name,) = overrides
+        assert getattr(perturbed.config, name) != getattr(base.config, name)
+        assert spec_hash(perturbed) != spec_hash(base)
+
+    @pytest.mark.parametrize("overrides, tag", [
+        ({"observe": True}, "obs"),
+        ({"observe": {"timeline": True}}, "obs-tl"),
+        ({"fault_plan": LOSSY}, "faults"),
+        ({"check": True}, "check"),
+        ({"lifecycle": LifecyclePolicy()}, "lifecycle"),
+        ({"macro_phases": True}, "macro"),
+        ({"seed": 7}, "seed7"),
+    ])
+    def test_config_opt_ins_show_in_the_description(self, overrides, tag):
+        spec = _cfg(**overrides)
+        part = f"-{tag}-"
+        assert part in f"{spec.key}-"
+        assert part in f"{spec_identity(spec).split('#')[0]}-"
+        assert part not in f"{_spec().key}-"
+
+
 # ----------------------------------------------------------------------
 # canonical form mechanics
 # ----------------------------------------------------------------------
 class TestCanonicalForm:
     def test_canonical_json_is_stable_and_sorted(self):
-        spec = _spec(seed=3, cost_overrides={"qp_cache_entries": 8})
+        spec = _spec(config=RuntimeConfig.proposed(seed=3),
+                     cost_overrides={"qp_cache_entries": 8})
         assert canonical_json(spec) == canonical_json(spec)
         assert canonical_json(spec).startswith('{"app":')
 
@@ -190,7 +254,7 @@ class TestCanonicalForm:
         assert "label" not in canon
 
     def test_hash_survives_pickling(self):
-        spec = _spec(seed=3, observe=True,
+        spec = _spec(config=RuntimeConfig.proposed(seed=3, observe=True),
                      cost_overrides={"qp_cache_entries": 8})
         assert spec_hash(pickle.loads(pickle.dumps(spec))) == spec_hash(spec)
 
@@ -211,9 +275,9 @@ class TestSweepErrorIdentity:
         # Historically SweepError used spec.key, where label shadowed
         # the derived identity — two different failing specs with the
         # same label were indistinguishable in the error text.
-        lossy = FaultPlan(name="loss", ud=(UDFault("drop", prob=0.1),))
         a = _spec(label="point")
-        b = _spec(label="point", faults=lossy)
+        b = _spec(label="point",
+                  config=RuntimeConfig.proposed(fault_plan=LOSSY))
         err_a = SweepError(a, ValueError("x"))
         err_b = SweepError(b, ValueError("x"))
         assert str(err_a) != str(err_b)
@@ -224,7 +288,7 @@ class TestSweepErrorIdentity:
         assert spec_identity(b).rsplit("#", 1)[1] in str(err_b)
 
     def test_identity_property_matches_function(self):
-        spec = _spec(seed=5)
+        spec = _cfg(seed=5)
         assert spec.identity == spec_identity(spec)
 
 

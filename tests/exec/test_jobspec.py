@@ -30,6 +30,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             _spec(ppn=0)
 
+    def test_misspelt_cost_field_fails_at_construction(self):
+        # Without the check the spec builds, hashes, and only fails at
+        # run time with a TypeError from CostModel.evolve.
+        with pytest.raises(ConfigError, match="'qp_cache_entriez'") as info:
+            _spec(cost_overrides={"qp_cache_entriez": 8})
+        assert "\n" not in str(info.value)
+
 
 class TestNormalisation:
     def test_cost_overrides_mapping_becomes_sorted_tuple(self):
@@ -53,7 +60,7 @@ class TestKey:
         assert "ppn16" in spec.key
 
     def test_seed_and_observe_show_up(self):
-        spec = _spec(seed=7, observe=True)
+        spec = _spec(config=RuntimeConfig.proposed(seed=7, observe=True))
         assert "seed7" in spec.key
         assert "obs" in spec.key
 
@@ -63,7 +70,8 @@ class TestKey:
 
 class TestPickling:
     def test_round_trip_equality(self):
-        spec = _spec(npes=16, testbed="B", seed=3, observe=True,
+        spec = _spec(npes=16, testbed="B",
+                     config=RuntimeConfig.proposed(seed=3, observe=True),
                      cost_overrides={"qp_cache_entries": 32})
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
@@ -78,7 +86,8 @@ class TestExecute:
 
     def test_seed_override_changes_the_run(self):
         base = execute(_spec(npes=4, ppn=2))
-        reseeded = execute(_spec(npes=4, ppn=2, seed=999))
+        reseeded = execute(_spec(npes=4, ppn=2,
+                                 config=RuntimeConfig.proposed(seed=999)))
         # Launch skew is drawn from the job RNG, so a different seed
         # moves the reported wall time.
         assert reseeded.wall_time_us != base.wall_time_us

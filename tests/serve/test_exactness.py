@@ -22,7 +22,7 @@ from repro.core import RuntimeConfig
 from repro.exec import JobSpec, execute
 from repro.exec import pool as pool_mod
 from repro.faults import FaultPlan, UDFault
-from repro.serve import ResultCache, SweepService, canonical_payload
+from repro.serve import ResultCache, canonical_payload
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
@@ -35,8 +35,8 @@ def _grid():
     return [
         JobSpec(config=RuntimeConfig.current(), **base),
         JobSpec(config=RuntimeConfig.proposed(), **base),
-        JobSpec(config=RuntimeConfig.proposed(), faults=lossy, **base),
-        JobSpec(config=RuntimeConfig.proposed(), observe=True, **base),
+        JobSpec(config=RuntimeConfig.proposed(fault_plan=lossy), **base),
+        JobSpec(config=RuntimeConfig.proposed(observe=True), **base),
     ]
 
 
@@ -61,15 +61,6 @@ class TestInProcess:
         assert hit == fresh
         assert hit.telemetry is not None
 
-    def test_service_populated_cache_is_exact(self):
-        cache = ResultCache()
-        svc = SweepService(cache, {"a": 1.0})
-        for i, spec in enumerate(_grid()):
-            svc.submit(float(i), "a", spec)
-        svc.drain()
-        for spec in _grid():
-            assert cache.get_bytes(spec) == _fresh_bytes(spec)
-
 
 @needs_fork
 class TestAcrossProcessBoundary:
@@ -82,18 +73,6 @@ class TestAcrossProcessBoundary:
         cache = ResultCache()
         for spec, result in zip(specs, results):
             cache.put(spec, result)
-        for spec in specs:
-            assert cache.get_bytes(spec) == _fresh_bytes(spec)
-
-    def test_run_trace_prefetch_path_is_exact(self):
-        from repro.serve import synthetic_trace
-
-        specs = _grid()[:2]
-        trace = synthetic_trace(specs, {"a": 1.0}, arrivals=6, seed=0)
-        cache = ResultCache()
-        # max_workers=2 routes the prefetch at run_sweep, which clamps
-        # to serial on small hosts — either path must be exact.
-        SweepService(cache, {"a": 1.0}, max_workers=2).run_trace(trace)
         for spec in specs:
             assert cache.get_bytes(spec) == _fresh_bytes(spec)
 
