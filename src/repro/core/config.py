@@ -53,8 +53,8 @@ class RuntimeConfig:
     #: opt-in that would do nothing is stored as its "off" form, so
     #: every spelling of the same run compares (and hashes) equal.
     #:
-    #: Flight recorder (:mod:`repro.obs`): span tracing + metrics
-    #: registry on every substrate.  Off by default; when off the
+    #: Flight recorder (:mod:`repro.obs`): span tracing + latency
+    #: histograms on every substrate.  Off by default; when off the
     #: instrumentation costs one predicate check per site.  Accepts
     #: ``bool``, ``{"timeline": ...}`` (adds the time-series sampler),
     #: or a :class:`repro.obs.TimelineConfig`; stored as ``False`` /

@@ -88,8 +88,7 @@ class Job:
                 raise ConfigError(
                     "macro mode produces no event trace (trace=True)"
                 )
-            supported_corner(self.config)  # fail fast on ablations
-            self._scheduler = scheduler
+            supported_corner(self.config)  # fail fast off the corner
             # No machine: the reducers read MacroRunResult instead.
             self.sim = None
             self.obs = None
@@ -100,17 +99,17 @@ class Job:
 
         # -- machine assembly ------------------------------------------
         self.sim = Simulator(scheduler=scheduler)
-        #: Flight recorder (spans + metrics registry, optionally the
-        #: timeline sampler); None unless the config enables observe.
+        #: Every count of the run, observed or not; telemetry reports it.
+        self.counters = Counters()
+        #: Flight recorder (spans + histograms, optionally the timeline
+        #: sampler); None unless the config enables observe.
         #: Every substrate holds an ``obs`` pointer that stays None when
         #: off, so instrumentation costs one predicate check per site.
         observe = self.config.observe
         timeline_cfg = observe if isinstance(observe, TimelineConfig) else None
         self.obs: Optional[Observability] = (
-            Observability(self.sim, timeline=timeline_cfg) if observe else None
-        )
-        self.counters = (
-            self.obs.counters_facade() if self.obs is not None else Counters()
+            Observability(self.sim, self.counters, timeline=timeline_cfg)
+            if observe else None
         )
         self.rng = RngRegistry(self.config.seed)
         self.fabric = Fabric(self.sim, self.cluster, self.rng, self.counters)
@@ -211,10 +210,7 @@ class Job:
     def run(self, app) -> JobResult:
         """Launch ``app`` on every PE and simulate to completion."""
         if self.macro:
-            res = run_macro_job(
-                app, self.npes, self.config, self.cluster,
-                scheduler=self._scheduler,
-            )
+            res = run_macro_job(app, self.npes, self.config, self.cluster)
             return JobResult(
                 npes=self.npes,
                 config_label=self.config.label,

@@ -1,20 +1,14 @@
 """Closed-form conduit cost models (macro phase layer).
 
-Two groups, with very different exactness contracts:
-
-* :func:`static_wireup_us` / :func:`static_teardown_us` — the static
-  conduit's bulk charges are already closed-form in the exact engine
-  (``bulk_charge_rc_qps`` / ``bulk_charge_qp_destroy`` yield one
-  aggregate delay), so these mirror them bit for bit.
-* :func:`finalize_model` — the on-demand design's finalize (a rank-tree
-  barrier whose cross-node edges connect lazily through the Figure-4
-  UD handshake, then a QP sweep).  This is a **lossless-UD model**: it
-  reproduces the exact engine's event structure assuming no UD drops,
-  no duplicates and an idle progress engine, which holds in
-  expectation but not per-seed (``ud_loss_probability`` is small yet
-  nonzero).  It feeds the modeled ``wall_time_us`` of macro on-demand
-  runs and the modeled finalize counters; the equivalence fixtures
-  assert neither (see DESIGN.md, "Analytical phase models").
+:func:`finalize_model` models the on-demand design's finalize (a
+rank-tree barrier whose cross-node edges connect lazily through the
+Figure-4 UD handshake, then a QP sweep).  This is a **lossless-UD
+model**: it reproduces the exact engine's event structure assuming no
+UD drops, no duplicates and an idle progress engine, which holds in
+expectation but not per-seed (``ud_loss_probability`` is small yet
+nonzero).  It feeds the modeled ``wall_time_us`` of macro on-demand
+runs and the modeled finalize counters; the equivalence fixtures
+assert neither (see DESIGN.md, "Analytical phase models").
 """
 
 from __future__ import annotations
@@ -26,26 +20,7 @@ from ..cluster.params import CostModel
 from .messages import AM_HEADER_BYTES, CONNECT_HEADER_BYTES
 from .segment import SegmentInfo, encode_segments
 
-__all__ = [
-    "static_wireup_us",
-    "static_teardown_us",
-    "exchange_payload_bytes",
-    "finalize_model",
-]
-
-
-def static_wireup_us(cost: CostModel, npes: int) -> float:
-    """Simulated time of ``StaticConduit.wireup`` after the directory
-    resolves: one bulk RC charge plus the per-peer bookkeeping sweep."""
-    per_qp = cost.rc_qp_create_us + (
-        cost.qp_modify_init_us + cost.qp_modify_rtr_us + cost.qp_modify_rts_us
-    )
-    return npes * per_qp + npes * cost.static_wireup_per_peer_us
-
-
-def static_teardown_us(cost: CostModel, npes: int) -> float:
-    """Simulated time of ``StaticConduit.teardown_charge``."""
-    return npes * cost.qp_destroy_us
+__all__ = ["exchange_payload_bytes", "finalize_model"]
 
 
 def exchange_payload_bytes(heap_region_size: int) -> int:

@@ -294,15 +294,8 @@ class OnDemandConduit(Conduit):
                 self.counters.add("conduit.disconnect_timeouts")
                 outcome = "timeout"
             self.counters.add("conduit.evictions")
-            if obs is not None:
-                # Labelled registry series (policy = whichever policy
-                # evicted, "idle"/"manual" for non-reaper retirements)
-                # so lru-vs-credit comparisons fall out of telemetry
-                # alone, next to conduit.reconnect_latency_us.
-                obs.metrics.counter("conduit.evictions",
-                                    policy=reason).inc()
-                if pending.span is not None:
-                    obs.spans.finish(pending.span, outcome=outcome)
+            if obs is not None and pending.span is not None:
+                obs.spans.finish(pending.span, outcome=outcome)
         finally:
             self._evicted_at[peer] = self.sim.now
             self._finish_draining(peer, pending)
@@ -471,9 +464,6 @@ class OnDemandConduit(Conduit):
                     # Count actual retransmissions only — neither the
                     # first send nor the final grace pass is a retry.
                     self.counters.add("conduit.connect_retries")
-                    if obs is not None:
-                        obs.metrics.counter(
-                            "conduit.connect_retransmits").inc()
             # else: final grace wait for an in-flight reply.
             timeout = self.sim.timeout(self.cost.ud_retry_timeout_us)
             which, _value = yield self.sim.any_of([ev, timeout])
@@ -607,8 +597,6 @@ class OnDemandConduit(Conduit):
             # the drain wins (serving now would pair a fresh QP with a
             # half-dead one).  Park the request and re-enter once the
             # drain completes — every idempotence rule reapplies.
-            # Lands in MetricsRegistry as-is on observed runs (the
-            # CountersBridge façade), keyed conduit.requests_during_drain.
             self.counters.add("conduit.requests_during_drain")
             spawn(
                 self.sim,

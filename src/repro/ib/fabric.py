@@ -122,7 +122,6 @@ class Fabric:
             name, "fabric", parent=parent,
             src_node=src.node, dst_node=dst.node, nbytes=packet.nbytes,
         )
-        obs.metrics.counter(name).inc()
 
     def _deliver(
         self, src: "HCA", dst: "HCA", packet: "Packet", extra_delay: float

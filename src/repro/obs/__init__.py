@@ -1,4 +1,4 @@
-"""repro.obs — the flight recorder: spans, metrics, exporters.
+"""repro.obs — the flight recorder: spans, histograms, exporters.
 
 One :class:`Observability` object per observed :class:`~repro.core.job.
 Job` aggregates the two recording surfaces:
@@ -7,9 +7,13 @@ Job` aggregates the two recording surfaces:
   causally-linked spans across every substrate (SHMEM startup phases,
   on-demand handshakes, QP state machines, PMI collectives, fault
   hits);
-* :attr:`Observability.metrics` — a :class:`MetricsRegistry` of
-  counters/gauges/histograms, which also subsumes the legacy flat
-  ``Counters`` via :meth:`Observability.counters_facade`.
+* :attr:`Observability.metrics` — a :class:`MetricsRegistry` of latency
+  histograms.
+
+Counts are not recorded here: every count goes through the job's plain
+:class:`~repro.sim.trace.Counters`, observed or not, and
+:meth:`Observability.telemetry` reports that same dict — so observing a
+run can never change its counters.
 
 Layers hold a plain ``obs`` attribute that is ``None`` unless the job
 was built with ``observe=True`` — instrumentation sites cost exactly
@@ -17,8 +21,9 @@ one predicate check when observation is off (the ``KernelProfile.
 _prof`` discipline), which is what keeps the golden traces and the
 wall-clock bench untouched by this module's existence.
 
-Export with :meth:`Observability.chrome_trace` (Perfetto-loadable) or
-:meth:`Observability.flat_spans` (byte-stable golden text), or from the
+Export with :meth:`Observability.chrome_trace` (Perfetto-loadable),
+:meth:`Observability.flat_spans` (byte-stable golden text) or
+:func:`timeline_csv` (the sampled series, for plotting), or from the
 command line::
 
     PYTHONPATH=src python -m repro.obs --npes 64 --out trace.json
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..sim import Simulator
+from ..sim import Counters, Simulator
 from .diff import (
     diff_snapshots,
     format_diff,
@@ -39,9 +44,7 @@ from .diff import (
 from .export import (
     chrome_trace,
     flat_dump,
-    parse_prometheus_text,
     parse_timeline_csv,
-    prometheus_text,
     span_descendants,
     span_index,
     timeline_counter_events,
@@ -50,9 +53,6 @@ from .export import (
 )
 from .metrics import (
     BUCKET_BOUNDS,
-    Counter,
-    CountersBridge,
-    Gauge,
     Histogram,
     MetricsRegistry,
     bucket_index,
@@ -72,10 +72,7 @@ __all__ = [
     "Span",
     "SpanTracer",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "CountersBridge",
     "BUCKET_BOUNDS",
     "bucket_index",
     "Timeline",
@@ -92,8 +89,6 @@ __all__ = [
     "timeline_counter_events",
     "timeline_csv",
     "parse_timeline_csv",
-    "prometheus_text",
-    "parse_prometheus_text",
     "load_snapshot",
     "diff_snapshots",
     "format_diff",
@@ -103,11 +98,14 @@ __all__ = [
 
 
 class Observability:
-    """Span tracer + metrics registry for one observed job."""
+    """Span tracer + histogram registry for one observed job."""
 
-    def __init__(self, sim: Simulator, span_capacity: int = 1_000_000,
+    def __init__(self, sim: Simulator, counters: Counters,
+                 span_capacity: int = 1_000_000,
                  timeline: Optional[TimelineConfig] = None) -> None:
         self.sim = sim
+        #: The job's counters — the one place a count is recorded.
+        self.counters = counters
         self.spans = SpanTracer(sim, capacity=span_capacity)
         self.metrics = MetricsRegistry()
         #: Time-series sampler; ``None`` unless the job asked for
@@ -116,16 +114,13 @@ class Observability:
             Timeline(sim, timeline) if timeline is not None else None
         )
 
-    def counters_facade(self) -> CountersBridge:
-        """A ``sim.trace.Counters``-compatible view feeding the registry."""
-        return CountersBridge(self.metrics)
-
     # ------------------------------------------------------------------
     # results / export
     # ------------------------------------------------------------------
     def telemetry(self) -> Dict[str, Any]:
-        """The ``JobResult.telemetry`` payload: span stats + metric dump
-        (+ the timeline snapshot when sampling was enabled)."""
+        """The ``JobResult.telemetry`` payload: span stats, the job's
+        counters and histograms (+ the timeline snapshot when sampling
+        was enabled)."""
         open_spans = sum(1 for s in self.spans if s.end_us is None)
         payload: Dict[str, Any] = {
             "spans": {
@@ -133,7 +128,10 @@ class Observability:
                 "dropped": self.spans.dropped,
                 "open": open_spans,
             },
-            "metrics": self.metrics.snapshot(),
+            "metrics": {
+                "counters": dict(sorted(self.counters.as_dict().items())),
+                "histograms": self.metrics.snapshot(),
+            },
         }
         if self.timeline is not None:
             payload["timeline"] = self.timeline.snapshot()

@@ -7,7 +7,7 @@ Used by the CI ``obs-smoke`` step and by hand::
         --out trace.json --flat spans.txt --validate --summary
 
     PYTHONPATH=src python -m repro.obs --npes 64 --timeline \
-        --csv timeline.csv --prom metrics.prom
+        --csv timeline.csv --telemetry run_a.json
 
     PYTHONPATH=src python -m repro.obs diff run_a.json run_b.json
 
@@ -32,7 +32,7 @@ from ..apps.hello import HelloWorld
 from ..cluster import cluster_a, cluster_b
 from ..core import Job, RuntimeConfig
 from .diff import diff_snapshots, format_diff, load_snapshot
-from .export import prometheus_text, timeline_csv, validate_chrome_trace
+from .export import timeline_csv, validate_chrome_trace
 
 _APPS = {
     "hello": lambda: HelloWorld(),
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override RNG seed")
     p.add_argument("--timeline", action="store_true",
                    help="enable the time-series sampler (counter tracks in "
-                        "the Chrome trace, --csv/--prom exports)")
+                        "the Chrome trace, --csv export)")
     p.add_argument("--interval-us", type=float, default=None,
                    metavar="US", help="timeline sampling cadence "
                    "(simulated us; implies --timeline)")
@@ -89,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the deterministic flat span dump here")
     p.add_argument("--csv", default=None, metavar="TIMELINE.csv",
                    help="write the timeline series as CSV here")
-    p.add_argument("--prom", default=None, metavar="METRICS.prom",
-                   help="write Prometheus-style metrics exposition here")
     p.add_argument("--telemetry", default=None, metavar="TELEMETRY.json",
                    help="write the full JobResult.telemetry JSON here "
                         "(the input format of `repro.obs diff`)")
@@ -109,8 +107,7 @@ def _run_main(argv: List[str]) -> int:
     if args.csv and not timeline_on:
         raise CliError("--csv requires --timeline")
     outputs = [("--out", args.out), ("--flat", args.flat),
-               ("--csv", args.csv), ("--prom", args.prom),
-               ("--telemetry", args.telemetry)]
+               ("--csv", args.csv), ("--telemetry", args.telemetry)]
     for flag, path in outputs:
         if path is not None:
             _validate_output_path(path, flag)
@@ -161,10 +158,6 @@ def _run_main(argv: List[str]) -> int:
         with open(args.csv, "w") as fh:
             fh.write(timeline_csv(snapshot))
         print(f"wrote {args.csv}: {len(snapshot.get('series', {}))} series")
-    if args.prom:
-        with open(args.prom, "w") as fh:
-            fh.write(prometheus_text(tele.get("metrics", {})))
-        print(f"wrote {args.prom}")
     if args.telemetry:
         with open(args.telemetry, "w") as fh:
             json.dump(tele, fh, indent=None, separators=(",", ":"))
@@ -195,8 +188,8 @@ def _run_main(argv: List[str]) -> int:
 def build_diff_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.obs diff",
-        description="Align two telemetry snapshots (JSON / CSV / "
-                    "Prometheus text) and report per-series deltas.",
+        description="Align two telemetry snapshots (telemetry JSON or "
+                    "timeline CSV) and report per-series deltas.",
     )
     p.add_argument("a", metavar="A", help="baseline snapshot")
     p.add_argument("b", metavar="B", help="comparison snapshot")

@@ -7,8 +7,8 @@ delta between two trajectories (e.g. fig9's footprint 57 vs 18 at
 report:
 
 * :func:`load_snapshot` accepts a ``JobResult.telemetry`` JSON dump, a
-  bare timeline snapshot, a ``repro.obs`` CSV, or a Prometheus-style
-  exposition, and normalises all of them to one shape.
+  bare timeline snapshot, or a ``repro.obs`` timeline CSV, and
+  normalises all of them to one shape.
 * :func:`diff_snapshots` aligns the series/counters/histograms by key
   and computes per-series peak/final deltas, counter deltas, and
   histogram count/mean/p50/p99 deltas.
@@ -22,10 +22,9 @@ Command line::
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, List, Optional
 
-from .export import parse_prometheus_text, parse_timeline_csv
+from .export import parse_timeline_csv
 
 __all__ = [
     "load_snapshot",
@@ -37,7 +36,7 @@ __all__ = [
 
 
 def _empty() -> Dict[str, Any]:
-    return {"series": {}, "counters": {}, "gauges": {}, "histograms": {}}
+    return {"series": {}, "counters": {}, "histograms": {}}
 
 
 def _normalize(obj: Dict[str, Any]) -> Dict[str, Any]:
@@ -49,7 +48,7 @@ def _normalize(obj: Dict[str, Any]) -> Dict[str, Any]:
         snap["series"] = obj.get("series", {})
     metrics = obj.get("metrics", obj)
     if isinstance(metrics, dict):
-        for kind in ("counters", "gauges", "histograms"):
+        for kind in ("counters", "histograms"):
             value = metrics.get(kind)
             if isinstance(value, dict):
                 snap[kind] = value
@@ -61,7 +60,7 @@ def load_snapshot(path: str) -> Dict[str, Any]:
 
     Dispatches on content, not just extension: JSON objects
     (``JobResult.telemetry`` dumps, bare timeline snapshots, or metric
-    snapshots), timeline CSVs, and Prometheus-style text all load.
+    snapshots) and timeline CSVs load.
     Raises ``OSError`` / ``ValueError`` with a one-line reason on
     missing or corrupt input (the CLI turns those into exit code 2).
     """
@@ -84,14 +83,9 @@ def load_snapshot(path: str) -> Dict[str, Any]:
             return _normalize(parse_timeline_csv(text))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    if first_line.startswith("#") or os.path.splitext(path)[1] == ".prom":
-        try:
-            return _normalize({"metrics": parse_prometheus_text(text)})
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
     raise ValueError(
-        f"{path}: unrecognised telemetry format (expected JSON, "
-        f"timeline CSV, or Prometheus-style text)"
+        f"{path}: unrecognised telemetry format (expected JSON or "
+        f"timeline CSV)"
     )
 
 
@@ -125,7 +119,7 @@ def diff_snapshots(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     a = _normalize(a)
     b = _normalize(b)
     report: Dict[str, Any] = {"series": {}, "counters": {},
-                              "gauges": {}, "histograms": {}}
+                              "histograms": {}}
 
     for key in _align(a["series"], b["series"]):
         sa, sb = a["series"].get(key), b["series"].get(key)
@@ -150,20 +144,6 @@ def diff_snapshots(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
         if entry["only_in"] is None:
             entry["delta"] = cb - ca
         report["counters"][key] = entry
-
-    for key in _align(a["gauges"], b["gauges"]):
-        ga, gb = a["gauges"].get(key), b["gauges"].get(key)
-        entry = {
-            "only_in": "a" if gb is None else ("b" if ga is None else None),
-            "value_a": ga["value"] if ga else None,
-            "value_b": gb["value"] if gb else None,
-            "max_a": ga["max"] if ga else None,
-            "max_b": gb["max"] if gb else None,
-        }
-        if entry["only_in"] is None:
-            entry["value_delta"] = entry["value_b"] - entry["value_a"]
-            entry["max_delta"] = entry["max_b"] - entry["max_a"]
-        report["gauges"][key] = entry
 
     for key in _align(a["histograms"], b["histograms"]):
         ha, hb = a["histograms"].get(key), b["histograms"].get(key)
@@ -232,20 +212,6 @@ def format_diff(report: Dict[str, Any], label_a: str = "A",
             else:
                 lines.append(f"  {key}: {_fmt(e['a'])} -> {_fmt(e['b'])}"
                              f"{_delta(e['delta'])}")
-
-    if report["gauges"]:
-        lines.append("")
-        lines.append("gauges (value / max):")
-        for key, e in report["gauges"].items():
-            if e["only_in"]:
-                lines.append(f"  {key}: only in {e['only_in'].upper()}")
-                continue
-            lines.append(
-                f"  {key}: value {_fmt(e['value_a'])} -> {_fmt(e['value_b'])}"
-                f"{_delta(e.get('value_delta'))}, "
-                f"max {_fmt(e['max_a'])} -> {_fmt(e['max_b'])}"
-                f"{_delta(e.get('max_delta'))}"
-            )
 
     if report["histograms"]:
         lines.append("")

@@ -1,9 +1,14 @@
-"""The metrics registry: counters, gauges and log2-bucket histograms.
+"""The metrics registry: log2-bucket latency histograms.
 
-Every metric is keyed by ``(name, labels)`` where labels is a sorted
-tuple of ``(key, value)`` pairs, so ``registry.counter("x", pe=3)`` and
-``registry.counter("x", pe=7)`` are distinct series while remaining
-cheap to aggregate.
+Counts do not live here: every count of a run goes through
+:class:`repro.sim.trace.Counters` (``counters.add(...)``), observed or
+not, and telemetry reports that dict as-is.  The registry holds the one
+thing a flat counter cannot: distributions.
+
+Every histogram is keyed by ``(name, labels)`` where labels is a sorted
+tuple of ``(key, value)`` pairs, so ``registry.histogram("x", pe=3)``
+and ``registry.histogram("x", pe=7)`` are distinct series while
+remaining cheap to aggregate.
 
 :class:`Histogram` replaces the means-only reporting the repro had for
 latencies: fixed log2 buckets (shared by *every* histogram, so two
@@ -15,11 +20,6 @@ layer observes.  Bucket semantics are Prometheus-style ``le``: bucket
 exact power of two lands in the bucket whose bound it equals (pinned
 by unit tests — the boundary test uses :func:`math.frexp`, which is
 exact for floats, not ``log2`` rounding).
-
-:class:`CountersBridge` subsumes the flat :class:`repro.sim.trace.
-Counters` API behind the registry: when a job runs with observation
-enabled, every existing ``counters.add(...)`` call site transparently
-feeds a registry counter — no substrate changes, one façade.
 """
 
 from __future__ import annotations
@@ -27,16 +27,11 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..sim import Counters
-
 __all__ = [
     "BUCKET_BOUNDS",
     "bucket_index",
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "CountersBridge",
 ]
 
 #: Smallest / largest log2 bucket exponent.  2**-4 = 0.0625 us resolves
@@ -72,70 +67,15 @@ def bucket_index(value: float) -> int:
     return idx if idx < len(BUCKET_BOUNDS) else len(BUCKET_BOUNDS)
 
 
-class _Metric:
-    """Identity shared by all metric kinds."""
-
-    __slots__ = ("name", "labels")
-    kind = "metric"
-
-    def __init__(self, name: str, labels: Tuple[Tuple[str, Any], ...]) -> None:
-        self.name = name
-        self.labels = labels
-
-    @property
-    def key(self) -> str:
-        """Deterministic flat series name, ``name{k=v,...}``."""
-        if not self.labels:
-            return self.name
-        inner = ",".join(f"{k}={v}" for k, v in self.labels)
-        return f"{self.name}{{{inner}}}"
-
-
-class Counter(_Metric):
-    """Monotonically increasing count."""
-
-    __slots__ = ("value",)
-    kind = "counter"
-
-    def __init__(self, name: str, labels=()) -> None:
-        super().__init__(name, labels)
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
-class Gauge(_Metric):
-    """A settable level; tracks its high-water mark."""
-
-    __slots__ = ("value", "max_value")
-    kind = "gauge"
-
-    def __init__(self, name: str, labels=()) -> None:
-        super().__init__(name, labels)
-        self.value = 0.0
-        self.max_value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.max_value:
-            self.max_value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-
-class Histogram(_Metric):
+class Histogram:
     """Latency distribution over the shared log2 buckets."""
 
-    __slots__ = ("counts", "count", "sum", "min", "max")
-    kind = "histogram"
+    __slots__ = ("name", "labels", "counts", "count", "sum", "min", "max")
 
-    def __init__(self, name: str, labels=()) -> None:
-        super().__init__(name, labels)
+    def __init__(self, name: str, labels: Tuple[Tuple[str, Any], ...] = ()
+                 ) -> None:
+        self.name = name
+        self.labels = labels
         self.counts: List[int] = [0] * NUM_BUCKETS
         self.count = 0
         self.sum = 0.0
@@ -150,6 +90,14 @@ class Histogram(_Metric):
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+
+    @property
+    def key(self) -> str:
+        """Deterministic flat series name, ``name{k=v,...}``."""
+        if not self.labels:
+            return self.name
+        inner = ",".join(f"{k}={v}" for k, v in self.labels)
+        return f"{self.name}{{{inner}}}"
 
     @property
     def mean(self) -> float:
@@ -202,38 +150,20 @@ class Histogram(_Metric):
         }
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricsRegistry:
-    """All metric series of one observed run, keyed by (name, labels)."""
+    """All histogram series of one observed run, keyed by (name, labels)."""
 
     def __init__(self) -> None:
-        self._metrics: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], _Metric] = {}
+        self._metrics: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]],
+                            Histogram] = {}
 
-    # ------------------------------------------------------------------
-    def _get(self, kind: str, name: str, labels: Dict[str, Any]) -> _Metric:
+    def histogram(self, name: str, **labels: Any) -> Histogram:
         key = (name, tuple(sorted(labels.items())))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = self._metrics[key] = _KINDS[kind](name, key[1])
-        elif metric.kind != kind:
-            raise TypeError(
-                f"metric {metric.key!r} already registered as "
-                f"{metric.kind}, requested as {kind}"
-            )
+            metric = self._metrics[key] = Histogram(name, key[1])
         return metric
 
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get("counter", name, labels)
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get("gauge", name, labels)
-
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self._get("histogram", name, labels)
-
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._metrics)
 
@@ -241,54 +171,6 @@ class MetricsRegistry:
         return iter(self._metrics.values())
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """Deterministic (key-sorted) dump of every series."""
-        counters: Dict[str, int] = {}
-        gauges: Dict[str, Dict[str, float]] = {}
-        histograms: Dict[str, Dict[str, Any]] = {}
-        for metric in self._metrics.values():
-            if metric.kind == "counter":
-                counters[metric.key] = metric.value
-            elif metric.kind == "gauge":
-                gauges[metric.key] = {
-                    "value": metric.value, "max": metric.max_value,
-                }
-            else:
-                histograms[metric.key] = metric.snapshot()
-        return {
-            "counters": dict(sorted(counters.items())),
-            "gauges": dict(sorted(gauges.items())),
-            "histograms": dict(sorted(histograms.items())),
-        }
-
-
-class CountersBridge(Counters):
-    """`sim.trace.Counters`-compatible façade over registry counters.
-
-    Installed as ``Job.counters`` when observation is on: every
-    substrate keeps calling the flat counter API it always had, and the
-    values land in the registry as label-less counter series.  The
-    per-name metric object is memoised locally so the hot ``add`` path
-    is one dict lookup + integer add, like the original.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        super().__init__()
-        self._registry = registry
-        self._cache: Dict[str, Counter] = {}
-
-    def add(self, name: str, amount: int = 1) -> None:
-        counter = self._cache.get(name)
-        if counter is None:
-            counter = self._cache[name] = self._registry.counter(name)
-        counter.value += amount
-
-    def __getitem__(self, name: str) -> int:
-        counter = self._cache.get(name)
-        return counter.value if counter is not None else 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: c.value for name, c in self._cache.items() if c.value}
-
-    def reset(self) -> None:
-        for counter in self._cache.values():
-            counter.value = 0
+        """Deterministic (key-sorted) dump of every histogram."""
+        histograms = {m.key: m.snapshot() for m in self._metrics.values()}
+        return dict(sorted(histograms.items()))

@@ -20,10 +20,9 @@ Two tiers:
   shareable between processes.  Its own byte budget evicts
   least-recently-*written* entries.
 
-Hit/miss/eviction counters and byte gauges land on a
-:class:`repro.obs.MetricsRegistry` (``serve.cache.*``), so cache
-behaviour is exported through the same snapshot / Prometheus
-path every other subsystem uses.
+Store/hit/miss/eviction counts live in a plain
+:class:`repro.sim.trace.Counters`, like every other count in the
+repro; :meth:`ResultCache.stats` reports them with the tier occupancy.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigError
 from ..exec import JobSpec, spec_hash
-from ..obs.metrics import MetricsRegistry
+from ..sim import Counters
 
 __all__ = ["ResultCache", "PICKLE_PROTOCOL", "canonical_payload"]
 
@@ -45,6 +44,10 @@ __all__ = ["ResultCache", "PICKLE_PROTOCOL", "canonical_payload"]
 #: always *within* one interpreter, the pin just avoids gratuitous
 #: cross-version churn in persisted caches.
 PICKLE_PROTOCOL = 4
+
+#: The counts :meth:`ResultCache.stats` reports; one never recorded is 0.
+_COUNTS = ("stores", "hits_memory", "hits_disk", "misses",
+           "evictions_memory", "evictions_disk")
 
 _INDEX_NAME = "index.json"
 _OBJECTS_DIR = "objects"
@@ -104,7 +107,6 @@ class ResultCache:
         path: Optional[Any] = None,
         memory_budget: int = 64 * 1024 * 1024,
         disk_budget: Optional[int] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if memory_budget < 0:
             raise ConfigError(
@@ -118,7 +120,7 @@ class ResultCache:
             )
         self.memory_budget = memory_budget
         self.disk_budget = disk_budget
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.counters = Counters()
         self._memory: "OrderedDict[str, bytes]" = OrderedDict()
         self._memory_bytes = 0
         #: hash -> metadata for every entry in either tier, in
@@ -164,21 +166,6 @@ class ResultCache:
             json.dumps(on_disk, sort_keys=False, indent=0)
         )
 
-    # -- metrics helpers ------------------------------------------------
-    def _count(self, name: str, **labels: Any) -> None:
-        self.registry.counter(f"serve.cache.{name}", **labels).inc()
-
-    def _set_gauges(self) -> None:
-        self.registry.gauge("serve.cache.bytes", tier="memory").set(
-            self._memory_bytes
-        )
-        self.registry.gauge("serve.cache.entries", tier="memory").set(
-            len(self._memory)
-        )
-        self.registry.gauge("serve.cache.entries", tier="disk").set(
-            sum(1 for v in self._on_disk.values() if v)
-        )
-
     # -- tier plumbing --------------------------------------------------
     def _memory_insert(self, key: str, payload: bytes) -> None:
         if key in self._memory:
@@ -193,7 +180,7 @@ class ResultCache:
         while self._memory_bytes > self.memory_budget:
             victim, victim_payload = self._memory.popitem(last=False)
             self._memory_bytes -= len(victim_payload)
-            self._count("evictions", tier="memory")
+            self.counters.add("evictions_memory")
             if not self._on_disk.get(victim):
                 # Memory was the only copy: the entry leaves the cache.
                 self._meta.pop(victim, None)
@@ -222,7 +209,7 @@ class ResultCache:
     def _evict_disk(self, key: str) -> None:
         self._object_path(key).unlink(missing_ok=True)
         self._on_disk[key] = False
-        self._count("evictions", tier="disk")
+        self.counters.add("evictions_disk")
         if key not in self._memory:
             self._meta.pop(key, None)
 
@@ -241,10 +228,9 @@ class ResultCache:
         fresh = key not in self._meta
         self._meta[key] = _entry_meta(spec, payload, result)
         if fresh:
-            self._count("stores")
+            self.counters.add("stores")
         self._memory_insert(key, payload)
         self._disk_insert(key, payload)
-        self._set_gauges()
         return key
 
     def get_bytes(self, spec_or_hash: Any) -> Optional[bytes]:
@@ -257,7 +243,7 @@ class ResultCache:
         payload = self._memory.get(key)
         if payload is not None:
             self._memory.move_to_end(key)
-            self._count("hits", tier="memory")
+            self.counters.add("hits_memory")
             return payload
         if self._on_disk.get(key):
             obj = self._object_path(key)
@@ -269,13 +255,12 @@ class ResultCache:
                 self._on_disk[key] = False
                 self._meta.pop(key, None)
                 self._write_index()
-                self._count("misses")
+                self.counters.add("misses")
                 return None
-            self._count("hits", tier="disk")
+            self.counters.add("hits_disk")
             self._memory_insert(key, payload)
-            self._set_gauges()
             return payload
-        self._count("misses")
+        self.counters.add("misses")
         return None
 
     def get(self, spec_or_hash: Any) -> Optional[Any]:
@@ -322,28 +307,18 @@ class ResultCache:
         for victim in list(self._memory):
             payload = self._memory.pop(victim)
             self._memory_bytes -= len(payload)
-            self._count("evictions", tier="memory")
+            self.counters.add("evictions_memory")
             dropped += 1
             if not self._on_disk.get(victim):
                 self._meta.pop(victim, None)
-        self._set_gauges()
         return dropped
 
     def stats(self) -> Dict[str, Any]:
-        """Flat counter/occupancy summary (reads the registry)."""
-        def count(name: str, **labels: Any) -> int:
-            return self.registry.counter(name, **labels).value
-
+        """Flat counter/occupancy summary."""
         return {
             "entries": len(self),
             "memory_entries": len(self._memory),
             "memory_bytes": self._memory_bytes,
             "disk_entries": sum(1 for v in self._on_disk.values() if v),
-            "stores": count("serve.cache.stores"),
-            "hits_memory": count("serve.cache.hits", tier="memory"),
-            "hits_disk": count("serve.cache.hits", tier="disk"),
-            "misses": count("serve.cache.misses"),
-            "evictions_memory": count("serve.cache.evictions",
-                                      tier="memory"),
-            "evictions_disk": count("serve.cache.evictions", tier="disk"),
+            **{name: self.counters[name] for name in _COUNTS},
         }

@@ -9,8 +9,8 @@ live next to the code they model:
 * :mod:`repro.pmi.models` — tree fence/allgather dissemination;
 * :mod:`repro.shmem.models` — the ``start_pes`` flows themselves (the
   orchestrator ``run_macro_job`` lives there);
-* :mod:`repro.gasnet.models` — static wire-up charges and the
-  on-demand connect/teardown cost model.
+* :mod:`repro.gasnet.models` — the on-demand connect/finalize cost
+  model.
 
 This module holds only the kernel-side glue those providers share: a
 lightweight stand-in for a :class:`~repro.shmem.runtime.ShmemPE` that

@@ -1,23 +1,20 @@
 """Macro-vs-exact equivalence: the analytical phase layer's contract.
 
 ``Job(macro=True)`` replaces the per-PE generator swarm with closed
-forms (on-demand corner) or a condensed replica (static corner).  The
-contract — ISSUE 9's acceptance bar — is that for both design corners,
-at 128 and 512 PEs, on both cluster presets and both schedulers, the
-macro layer reproduces the exact DES's:
+forms for the on-demand design corner, the only one it models.  The
+contract is that at 128 and 512 PEs, on both cluster presets and both
+schedulers, the macro layer reproduces the exact DES's:
 
 * ``StartupReport`` (per-phase means and totals) — bit for bit;
 * ``app_done_us`` and per-PE ``app_results``;
-* the deterministic startup counters;
+* the deterministic startup counters.
 
-and, for the **static** corner (a replica on the real substrate, so
-nothing is modeled), additionally the full counters dict,
-``wall_time_us`` and the ``ResourceReport``.  For the **on-demand**
-corner those last three cross the finalize path, where the exact
-engine draws UD-loss randomness and per-PE resource snapshots can
-catch connect traffic from early-finishing nodes' finalize barriers —
-they are *modeled* (lossless closed forms) rather than asserted (see
-``repro.shmem.models``).
+The full counters dict, ``wall_time_us`` and the ``ResourceReport``
+cross the finalize path, where the exact engine draws UD-loss
+randomness and per-PE resource snapshots can catch connect traffic
+from early-finishing nodes' finalize barriers — they are *modeled*
+(lossless closed forms) rather than asserted (see
+``repro.shmem.models``).  Every other corner is refused.
 
 A final test pins the other direction: with macro mode off (the
 default), the 128-PE golden event trace stays byte-identical — the
@@ -39,14 +36,11 @@ from repro.gasnet import LifecyclePolicy
 GOLDEN = Path(__file__).parent.parent / "data" / "golden_trace_ondemand_128.txt"
 
 CLUSTERS = {"A": cluster_a, "B": cluster_b}
-CONFIGS = {
-    "ondemand": RuntimeConfig.proposed,
-    "static": RuntimeConfig.current,
-}
+CONFIGS = {"ondemand": RuntimeConfig.proposed}
 
-#: Startup-path counters that must match the exact engine exactly in
-#: *both* corners (the on-demand finalize counters are modeled, so the
-#: on-demand assertion is restricted to this set).
+#: Startup-path counters that must match the exact engine exactly (the
+#: finalize counters are modeled, so the assertion is restricted to
+#: this set).
 STARTUP_COUNTERS = (
     "pmi.iallgathers",
     "pmi.tree_messages",
@@ -77,7 +71,7 @@ def _run(npes, testbed, corner, scheduler, macro):
 
 @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
 @pytest.mark.parametrize("testbed", ["A", "B"])
-@pytest.mark.parametrize("corner", ["ondemand", "static"])
+@pytest.mark.parametrize("corner", ["ondemand"])
 @pytest.mark.parametrize("npes", [128, 512])
 def test_macro_matches_exact(npes, corner, testbed, scheduler):
     exact = _run(npes, testbed, corner, scheduler, macro=False)
@@ -90,24 +84,17 @@ def test_macro_matches_exact(npes, corner, testbed, scheduler):
     assert macro.app_done_us == exact.app_done_us
     assert macro.app_results == exact.app_results
 
-    if corner == "static":
-        # The condensed replica runs the real substrate: everything is
-        # exact by construction, down to the last counter.
-        assert macro.wall_time_us == exact.wall_time_us
-        assert macro.resources == exact.resources
-        assert macro.counters == exact.counters
-    else:
-        for name in STARTUP_COUNTERS:
-            if name == "pmi.tree_bytes" and name not in macro.counters:
-                # Single-node clusters have no daemon tree; not hit at
-                # these sizes, but keep the contract explicit.
-                continue
-            assert macro.counters.get(name) == exact.counters.get(name), name
-        assert macro.counters["shmem.intranode_barriers"] == 2 * npes
-        assert macro.counters["shmem.start_pes_done"] == npes
+    for name in STARTUP_COUNTERS:
+        if name == "pmi.tree_bytes" and name not in macro.counters:
+            # Single-node clusters have no daemon tree; not hit at
+            # these sizes, but keep the contract explicit.
+            continue
+        assert macro.counters.get(name) == exact.counters.get(name), name
+    assert macro.counters["shmem.intranode_barriers"] == 2 * npes
+    assert macro.counters["shmem.start_pes_done"] == npes
 
 
-@pytest.mark.parametrize("corner", ["ondemand", "static"])
+@pytest.mark.parametrize("corner", ["ondemand"])
 def test_macro_via_config_flag(corner):
     """``RuntimeConfig.macro_phases`` is the config-driven spelling."""
     config = CONFIGS[corner](macro_phases=True)
@@ -182,6 +169,9 @@ def test_macro_rejects_ablation_corners():
     # A mixed-axis ablation (on-demand connections, blocking PMI).
     with pytest.raises(ConfigError, match="design corners"):
         _macro_job(config=RuntimeConfig.proposed(pmi_mode="blocking"))
+    # The static baseline corner: run it on the exact engine.
+    with pytest.raises(ConfigError, match="use the exact engine"):
+        _macro_job(config=RuntimeConfig.current())
 
 
 def test_macro_requires_macro_profile():

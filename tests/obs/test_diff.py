@@ -12,7 +12,6 @@ from repro.obs import (
     diff_snapshots,
     format_diff,
     load_snapshot,
-    prometheus_text,
     series_final,
     series_peak,
     timeline_csv,
@@ -59,20 +58,6 @@ class TestRoundTrips:
         for key, buf in original.items():
             assert series_peak(snap["series"][key]) == series_peak(buf)
             assert series_final(snap["series"][key]) == series_final(buf)
-        _assert_zero_self_diff(diff_snapshots(snap, snap))
-
-    def test_prometheus_text(self, telemetry, tmp_path):
-        path = tmp_path / "m.prom"
-        path.write_text(prometheus_text(telemetry["metrics"]))
-        snap = load_snapshot(str(path))
-        assert snap["counters"] == {
-            k: v for k, v in telemetry["metrics"]["counters"].items()
-        }
-        for key, hist in telemetry["metrics"]["histograms"].items():
-            got = snap["histograms"][key]
-            assert got["count"] == hist["count"]
-            assert got["p50"] == hist["p50"]
-            assert got["p99"] == hist["p99"]
         _assert_zero_self_diff(diff_snapshots(snap, snap))
 
     def test_cross_format_diff_is_zero_on_series(self, telemetry, tmp_path):

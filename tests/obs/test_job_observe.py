@@ -6,7 +6,7 @@ from repro.apps import ChurnWorkload, HelloWorld
 from repro.cluster import cluster_a
 from repro.core import Job, RuntimeConfig
 from repro.gasnet import LifecyclePolicy
-from repro.obs import CountersBridge, Observability, series_peak
+from repro.obs import Observability, series_peak
 from repro.sim import Counters
 
 
@@ -30,7 +30,8 @@ def test_observation_is_off_by_default():
 def test_observe_true_installs_the_recorder_everywhere():
     job = _job(observe=True)
     assert isinstance(job.obs, Observability)
-    assert isinstance(job.counters, CountersBridge)
+    assert type(job.counters) is Counters
+    assert job.obs.counters is job.counters
     assert job.fabric.obs is job.obs
     assert job.network.obs is job.obs
     assert job.pmi_domain.obs is job.obs
@@ -59,11 +60,9 @@ def test_telemetry_shape_and_expected_series():
     assert hists["conduit.handshake_rtt_us"]["min"] > 0.0
     assert hists["shmem.start_pes_us"]["count"] == job.npes
     assert any(k.startswith("hca.qp_cache_miss_penalty_us") for k in hists)
-    # The flat counters ride through the façade into the registry.
+    # Telemetry reports the job's one counter dict, key-sorted.
     assert tele["metrics"]["counters"]["conduit.connect_requests"] > 0
-    assert result.counters["conduit.connect_requests"] == (
-        tele["metrics"]["counters"]["conduit.connect_requests"]
-    )
+    assert tele["metrics"]["counters"] == dict(sorted(result.counters.items()))
 
 
 def test_expected_span_families_are_recorded():
@@ -100,10 +99,33 @@ def test_observation_is_passive():
     assert seen.startup.phase_means == base.startup.phase_means
 
 
+class _ZeroLengthPut:
+    """PE 0 puts zero bytes to PE 1: a count that adds 0."""
+
+    def run(self, pe):
+        buf = pe.shmalloc(8)
+        yield from pe.barrier_all()
+        if pe.mype == 0:
+            yield from pe.put(1, buf, b"")
+        yield from pe.barrier_all()
+
+
+@pytest.mark.parametrize("observe", [True, {"timeline": True}])
+def test_observation_never_changes_counters(observe):
+    base = _job(observe=False, npes=2, ppn=1).run(_ZeroLengthPut())
+    assert base.counters["conduit.put_bytes"] == 0
+    assert "conduit.put_bytes" in base.counters
+    seen = _job(observe=observe, npes=2, ppn=1).run(_ZeroLengthPut())
+    assert seen.counters == base.counters
+    assert seen.telemetry["metrics"]["counters"] == dict(
+        sorted(seen.counters.items())
+    )
+
+
 # ----------------------------------------------------------------------
-# eviction/reconnect churn under observation (the CountersBridge's
-# hardest case: the lifecycle reaper drives counters from timer context
-# while the sampler reads them)
+# eviction/reconnect churn under observation (the hardest case: the
+# lifecycle reaper drives counters from timer context while the sampler
+# reads them)
 # ----------------------------------------------------------------------
 def _churn_job(observe, npes=16):
     policy = LifecyclePolicy(policy="lru")
@@ -139,9 +161,9 @@ class TestChurnObservationMatrix:
 
     @pytest.mark.parametrize("mode", ["on", "timeline"])
     def test_flat_counters_identical_under_observation(self, runs, mode):
-        # The CountersBridge façade must count exactly like the plain
-        # Counters dict — including the eviction/reconnect/drain
-        # counters the reaper drives from timer context.
+        # Observed runs count exactly like unobserved ones — including
+        # the eviction/reconnect/drain counters the reaper drives from
+        # timer context.
         assert runs[mode].counters == runs["off"].counters
 
     @pytest.mark.parametrize("mode", ["on", "timeline"])
@@ -152,15 +174,10 @@ class TestChurnObservationMatrix:
     def test_eviction_counters_reach_the_registry(self, runs):
         metrics = runs["on"].telemetry["metrics"]
         flat = runs["off"].counters
-        # Label-less series ride through the façade 1:1 ...
         assert metrics["counters"]["conduit.evictions"] == (
             flat["conduit.evictions"]
         )
-        # ... and the policy-labelled breakdown is recorded alongside
-        # (the reaper evicts with reason == policy name).
-        assert metrics["counters"]["conduit.evictions{policy=lru}"] == (
-            flat["conduit.evictions"]
-        )
+        assert metrics["counters"] == dict(sorted(flat.items()))
         assert "conduit.reconnect_latency_us" in metrics["histograms"]
 
     def test_timeline_peak_matches_scalar_peak(self, runs):

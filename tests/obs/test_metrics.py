@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry: buckets, series, the façade.
+"""Unit tests for the metrics registry: buckets, histograms, series.
 
 The bucket-boundary tests are the load-bearing ones: ``bucket_index``
 must be *exact* at powers of two (le semantics — ``2**k`` lands in the
@@ -12,15 +12,11 @@ import pytest
 
 from repro.obs import (
     BUCKET_BOUNDS,
-    Counter,
-    CountersBridge,
-    Gauge,
     Histogram,
     MetricsRegistry,
     bucket_index,
 )
 from repro.obs.metrics import NUM_BUCKETS
-from repro.sim import Counters
 
 
 class TestBucketIndex:
@@ -158,80 +154,33 @@ class TestHistogramPercentile:
             Histogram("h").percentile(p)
 
 
-class TestGauge:
-    def test_set_inc_dec_and_high_water_mark(self):
-        g = Gauge("g")
-        g.set(5.0)
-        g.inc(3.0)
-        g.dec(6.0)
-        assert g.value == 2.0
-        assert g.max_value == 8.0
-
-
 class TestMetricsRegistry:
     def test_same_name_and_labels_memoised(self):
         reg = MetricsRegistry()
-        assert reg.counter("x", pe=3) is reg.counter("x", pe=3)
-        assert reg.counter("x", pe=3) is not reg.counter("x", pe=7)
+        assert reg.histogram("x", pe=3) is reg.histogram("x", pe=3)
+        assert reg.histogram("x", pe=3) is not reg.histogram("x", pe=7)
         assert len(reg) == 2
 
     def test_label_order_does_not_matter(self):
         reg = MetricsRegistry()
-        assert reg.counter("x", a=1, b=2) is reg.counter("x", b=2, a=1)
-
-    def test_kind_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.histogram("x")
+        assert reg.histogram("x", a=1, b=2) is reg.histogram("x", b=2, a=1)
 
     def test_series_key_format(self):
         reg = MetricsRegistry()
-        assert reg.counter("plain").key == "plain"
+        assert reg.histogram("plain").key == "plain"
         assert reg.histogram("h", node=2, kind="rtr").key == (
             "h{kind=rtr,node=2}"
         )
 
     def test_snapshot_is_key_sorted_and_typed(self):
         reg = MetricsRegistry()
-        reg.counter("b").inc(2)
-        reg.counter("a").inc()
-        reg.gauge("g").set(4.5)
-        reg.histogram("h").observe(1.0)
+        reg.histogram("b").observe(2.0)
+        reg.histogram("a").observe(1.0)
+        reg.histogram("a", pe=1).observe(4.0)
         snap = reg.snapshot()
-        assert list(snap["counters"]) == ["a", "b"]
-        assert snap["counters"] == {"a": 1, "b": 2}
-        assert snap["gauges"]["g"] == {"value": 4.5, "max": 4.5}
-        assert snap["histograms"]["h"]["count"] == 1
-
-
-class TestCountersBridge:
-    def test_is_a_counters(self):
-        bridge = CountersBridge(MetricsRegistry())
-        assert isinstance(bridge, Counters)
-
-    def test_feeds_the_registry(self):
-        reg = MetricsRegistry()
-        bridge = CountersBridge(reg)
-        bridge.add("qp_created", 3)
-        bridge.add("qp_created")
-        assert bridge["qp_created"] == 4
-        assert bridge["never_touched"] == 0
-        assert reg.counter("qp_created").value == 4
-        assert bridge.as_dict() == {"qp_created": 4}
-
-    def test_reset(self):
-        reg = MetricsRegistry()
-        bridge = CountersBridge(reg)
-        bridge.add("x", 5)
-        bridge.reset()
-        assert bridge["x"] == 0
-        assert reg.counter("x").value == 0
-
-    def test_counter_registered_externally_is_shared(self):
-        # The façade and direct registry access see the same series.
-        reg = MetricsRegistry()
-        bridge = CountersBridge(reg)
-        bridge.add("shared")
-        reg.counter("shared").inc()
-        assert bridge["shared"] == 2
+        assert list(snap) == ["a", "a{pe=1}", "b"]
+        assert snap["a"]["count"] == 1 and snap["a"]["sum"] == 1.0
+        assert snap["b"] == {
+            "count": 1, "sum": 2.0, "min": 2.0, "max": 2.0, "mean": 2.0,
+            "p50": 2.0, "p99": 2.0, "buckets": [{"le": 2.0, "count": 1}],
+        }

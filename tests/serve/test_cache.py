@@ -192,6 +192,7 @@ class TestEnumeration:
     def test_counters_reach_the_registry(self, filled):
         cache, spec, _ = filled
         cache.get(spec)
-        snapshot = cache.registry.snapshot()
-        assert snapshot["counters"]["serve.cache.hits{tier=memory}"] == 1
-        assert "serve.cache.bytes{tier=memory}" in snapshot["gauges"]
+        stats = cache.stats()
+        assert stats["hits_memory"] == 1
+        assert stats["stores"] == 1
+        assert stats["memory_bytes"] == len(cache.get_bytes(spec))
