@@ -1,16 +1,18 @@
 """Benchmark harness configuration.
 
-Each benchmark regenerates one paper table/figure via
-``repro.bench.experiments`` (quick-scale by default; set
-``REPRO_BENCH_FULL=1`` for paper-scale sweeps), asserts the paper's
-qualitative claims, and writes the rendered table to
-``benchmarks/results/``.
+Each benchmark runs one entry of the ``repro.bench.experiments``
+registry — quick scale by default, paper scale (``quick=False``, the
+same run ``scripts/run_full_experiments.py`` makes) with
+``REPRO_BENCH_FULL=1`` — asserts the paper's qualitative claims, and
+writes the rendered table to ``benchmarks/results/{stem}.txt``.
 """
 
 import os
 from pathlib import Path
 
 import pytest
+
+from repro.bench.experiments import EXPERIMENTS
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -20,26 +22,20 @@ def full_scale() -> bool:
 
 
 @pytest.fixture
-def record_table():
-    """Save an ExperimentResult's table and echo it to stdout."""
+def run_experiment(benchmark):
+    """Run a registry entry by name, save and echo its table.
 
-    def _record(result, name: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        text = result.render()
-        (RESULTS_DIR / f"{name}.txt").write_text(text)
-        (RESULTS_DIR / f"{name}.csv").write_text(result.csv())
-        print(text)
+    pytest-benchmark times one round: simulations are deterministic,
+    so one round is exact; re-running a multi-second DES adds nothing.
+    """
 
-    return _record
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """pytest-benchmark wrapper: simulations are deterministic, so one
-    round is exact; re-running a multi-second DES adds nothing."""
-
-    def _run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1)
+    def _run(name: str):
+        entry = EXPERIMENTS[name]
+        result = benchmark.pedantic(
+            entry.run, kwargs={"quick": not full_scale()},
+            rounds=1, iterations=1,
+        )
+        print(result.save(RESULTS_DIR, entry.stem))
+        return result
 
     return _run

@@ -1,18 +1,8 @@
 """Ablations of the paper's individual design choices (DESIGN.md D1-D5)."""
 
-from repro.bench.experiments import (
-    ablation_barrier,
-    ablation_piggyback,
-    ablation_pmi,
-    ablation_qp_cache,
-)
 
-from conftest import full_scale
-
-
-def test_ablation_d1_piggyback(run_once, record_table):
-    result = run_once(ablation_piggyback.run, npes=16)
-    record_table(result, "ablation_d1_piggyback")
+def test_ablation_d1_piggyback(run_experiment):
+    result = run_experiment("ablation-piggyback")
     # The separate exchange adds a round trip per first contact; the
     # handshake itself dominates, so the relative cost is small but
     # strictly positive and deterministic.
@@ -20,9 +10,8 @@ def test_ablation_d1_piggyback(run_once, record_table):
     assert result.extras["overhead_pct"] > 0.4
 
 
-def test_ablation_d2_pmi(run_once, record_table):
-    result = run_once(ablation_pmi.run, quick=not full_scale())
-    record_table(result, "ablation_d2_pmi")
+def test_ablation_d2_pmi(run_experiment):
+    result = run_experiment("ablation-pmi")
     growths = result.extras["growths"]
     times = result.extras["times"]
     _small, large = result.extras["sizes"]
@@ -36,9 +25,8 @@ def test_ablation_d2_pmi(run_once, record_table):
             assert growths[combo] > growths[("ondemand", "nonblocking")]
 
 
-def test_ablation_d3_intranode_barrier(run_once, record_table):
-    result = run_once(ablation_barrier.run, quick=not full_scale())
-    record_table(result, "ablation_d3_barrier")
+def test_ablation_d3_intranode_barrier(run_experiment):
+    result = run_experiment("ablation-barrier")
     raw = result.extras["raw"]
     for npes, row in raw.items():
         # Global init barriers serialise on the PMI exchange; the
@@ -51,9 +39,8 @@ def test_ablation_d3_intranode_barrier(run_once, record_table):
         assert row["global_conns"] > 5 * max(0.01, row["intranode_conns"])
 
 
-def test_ablation_d5_qp_cache(run_once, record_table):
-    result = run_once(ablation_qp_cache.run)
-    record_table(result, "ablation_d5_qp_cache")
+def test_ablation_d5_qp_cache(run_experiment):
+    result = run_experiment("ablation-qp-cache")
     raw = result.extras["raw"]
     sizes = sorted(raw)
     # A too-small context cache measurably slows communication.

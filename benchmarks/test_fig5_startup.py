@@ -1,13 +1,10 @@
 """Figure 5: startup performance, current vs proposed."""
 
-from repro.bench.experiments import fig5_startup
-
 from conftest import full_scale
 
 
-def test_fig5a_startup(run_once, record_table):
-    result = run_once(fig5_startup.run, quick=not full_scale())
-    record_table(result, "fig5a_startup")
+def test_fig5a_startup(run_experiment):
+    result = run_experiment("fig5a")
 
     raw = result.extras["raw"]
     sizes = sorted(raw)
@@ -38,9 +35,8 @@ def test_fig5a_startup(run_once, record_table):
         assert 5.0 < hello_speedup < 14.0
 
 
-def test_fig5b_breakdown(run_once, record_table):
-    result = run_once(fig5_startup.run_breakdown, quick=not full_scale())
-    record_table(result, "fig5b_breakdown")
+def test_fig5b_breakdown(run_experiment):
+    result = run_experiment("fig5b")
 
     from repro.shmem import PHASE_CONN, PHASE_MEMREG, PHASE_PMI
 

@@ -1,17 +1,8 @@
 """Figure 6: point-to-point and atomic latency, static vs on-demand."""
 
-from repro.bench.experiments import fig6_p2p
 
-from conftest import full_scale
-
-
-def test_fig6ab_put_get(run_once, record_table):
-    result = run_once(
-        fig6_p2p.run,
-        iterations=1000 if full_scale() else 100,
-        quick=not full_scale(),
-    )
-    record_table(result, "fig6ab_put_get")
+def test_fig6ab_put_get(run_experiment):
+    result = run_experiment("fig6ab")
 
     latency = result.extras["latency"]
     for op in ("get", "put"):
@@ -23,12 +14,8 @@ def test_fig6ab_put_get(run_once, record_table):
         assert latency[op][sizes[-1]][0] > latency[op][sizes[0]][0]
 
 
-def test_fig6c_atomics(run_once, record_table):
-    result = run_once(
-        fig6_p2p.run_atomics,
-        iterations=1000 if full_scale() else 100,
-    )
-    record_table(result, "fig6c_atomics")
+def test_fig6c_atomics(run_experiment):
+    result = run_experiment("fig6c")
 
     latency = result.extras["latency"]
     for op, (static_us, ondemand_us, diff_pct) in latency.items():

@@ -1,13 +1,8 @@
 """Figure 8(b): hybrid MPI+OpenSHMEM Graph500."""
 
-from repro.bench.experiments import fig8b_graph500
 
-from conftest import full_scale
-
-
-def test_fig8b_graph500(run_once, record_table):
-    result = run_once(fig8b_graph500.run, quick=not full_scale())
-    record_table(result, "fig8b_graph500")
+def test_fig8b_graph500(run_experiment):
+    result = run_experiment("fig8b")
 
     times = result.extras["times"]
     for npes, (static_us, ondemand_us, diff_pct) in times.items():

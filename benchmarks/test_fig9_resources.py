@@ -1,13 +1,10 @@
 """Figure 9: per-process endpoint usage, measured + projected."""
 
-from repro.bench.experiments import fig9_resources
-
 from conftest import full_scale
 
 
-def test_fig9_resources(run_once, record_table):
-    result = run_once(fig9_resources.run, quick=not full_scale())
-    record_table(result, "fig9_resources")
+def test_fig9_resources(run_experiment):
+    result = run_experiment("fig9")
 
     series = result.extras["series"]
     reductions = result.extras["reductions"]

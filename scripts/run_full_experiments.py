@@ -1,111 +1,63 @@
 #!/usr/bin/env python
-"""Regenerate every paper table/figure at (near-)paper scale.
+"""Regenerate every paper table/figure at paper scale.
 
-Writes rendered tables to ``benchmarks/results/full/``.  This is the
-long version of ``pytest benchmarks/`` (REPRO_BENCH_FULL=1); expect it
-to run for some minutes.
+Runs each experiment in the :mod:`repro.bench.experiments` registry
+with ``quick=False`` — exactly what ``python -m repro.bench --full
+NAME`` and ``REPRO_BENCH_FULL=1 pytest benchmarks/`` run — and writes
+``{stem}.txt``/``{stem}.csv`` to ``benchmarks/results/full/``.  Expect
+it to run for some minutes.
 
-Each experiment internally declares its job grid through
-``repro.exec.run_sweep``, so independent simulations fan out across
-cores.  Control worker count with ``REPRO_PAR`` (``0``/``1`` forces
-serial in-process execution, ``N`` uses N workers, unset auto-detects).
-``REPRO_BENCH_SCALE=1`` additionally runs the 16K/32K/65,536-PE
-on-demand startup curve (minutes of wall clock, ~7 GB RSS at the top).
+    python scripts/run_full_experiments.py              # the full suite
+    python scripts/run_full_experiments.py fig5a fig9   # named ones only
+
+Names are the ``python -m repro.bench --list`` names.  ``fig5-scale``
+(on-demand startup to 1,048,576 PEs: minutes of wall clock, several GB
+of RSS) runs only when named.
+
+Each experiment declares its job grid through ``repro.exec.run_sweep``,
+so independent simulations fan out across cores.  Control worker count
+with ``REPRO_PAR`` (``0``/``1`` forces serial in-process execution,
+``N`` uses N workers, unset auto-detects).
 
 Exits non-zero if any experiment fails; failures are collected and
 summarised rather than silently swallowed.
 """
 
-import os
 import sys
 import time
 import traceback
 from pathlib import Path
 
-from repro.bench.experiments import (
-    ablation_barrier,
-    ablation_piggyback,
-    ablation_pmi,
-    ablation_qp_cache,
-    fig1_breakdown,
-    fig2_radar,
-    fig5_startup,
-    fig6_p2p,
-    fig7_collectives,
-    fig8a_nas,
-    fig8b_graph500,
-    fig9_resources,
-    table1_peers,
-)
+from repro.bench.experiments import full_suite, select
+from repro.errors import ConfigError
 
 OUT = Path(__file__).resolve().parent.parent / "benchmarks" / "results" / "full"
 
-RUNS = [
-    ("fig1_breakdown", lambda: fig1_breakdown.run(quick=False)),
-    ("table1_peers", lambda: table1_peers.run(npes=256, quick=False)),
-    ("fig2_radar", lambda: fig2_radar.run(npes=64, startup_npes=1024)),
-    ("fig5a_startup", lambda: fig5_startup.run(quick=False)),
-    ("fig5b_breakdown", lambda: fig5_startup.run_breakdown(quick=False)),
-    ("fig6ab_put_get", lambda: fig6_p2p.run(iterations=1000, quick=False)),
-    ("fig6c_atomics", lambda: fig6_p2p.run_atomics(iterations=1000)),
-    ("fig7ab_collect_reduce", lambda: fig7_collectives.run(
-        npes=512, iterations=20, quick=False)),
-    ("fig7c_barrier", lambda: fig7_collectives.run_barrier(quick=False)),
-    ("fig8a_nas", lambda: fig8a_nas.run(npes=256, nas_class="B",
-                                        quick=False)),
-    ("fig8b_graph500", lambda: fig8b_graph500.run(quick=False)),
-    ("fig9_resources", lambda: fig9_resources.run(quick=False)),
-    ("ablation_d1_piggyback", lambda: ablation_piggyback.run(npes=32)),
-    ("ablation_d2_pmi", lambda: ablation_pmi.run(quick=False)),
-    ("ablation_d3_barrier", lambda: ablation_barrier.run(quick=False)),
-    ("ablation_d5_qp_cache", lambda: ablation_qp_cache.run()),
-]
 
-# The 16K/32K/65,536-PE on-demand curve costs minutes and ~7 GB RSS at
-# the top size, so it only joins the default run when asked for
-# (REPRO_BENCH_SCALE=1) — naming it explicitly on the command line
-# works regardless.
-RUNS.append(("fig5_scale", lambda: fig5_startup.run_scale()))
-if not os.environ.get("REPRO_BENCH_SCALE"):
-    _DEFAULT_SKIP = {"fig5_scale"}
-else:
-    _DEFAULT_SKIP = set()
-
-
-def main() -> int:
-    OUT.mkdir(parents=True, exist_ok=True)
-    only = set(sys.argv[1:])
-    unknown = only - {name for name, _ in RUNS}
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(sorted(unknown))}")
-        print("available: " + ", ".join(name for name, _ in RUNS))
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    try:
+        entries = select(names) if names else full_suite()
+    except ConfigError as exc:
+        print(exc)
         return 2
     total_start = time.time()
     done: list = []
     failures: list = []
-    for name, fn in RUNS:
-        if only and name not in only:
-            continue
-        if not only and name in _DEFAULT_SKIP:
-            print(f"[{name}] skipped (set REPRO_BENCH_SCALE=1 or name it "
-                  "explicitly)", flush=True)
-            continue
+    for entry in entries:
         start = time.time()
-        print(f"[{name}] running ...", flush=True)
+        print(f"[{entry.name}] running ...", flush=True)
         try:
-            result = fn()
+            result = entry.run(quick=False)
         except Exception as exc:
-            failures.append((name, exc))
+            failures.append((entry.name, exc))
             traceback.print_exc()
-            print(f"[{name}] FAILED: {exc!r}", flush=True)
+            print(f"[{entry.name}] FAILED: {exc!r}", flush=True)
             continue
         elapsed = time.time() - start
-        text = result.render()
-        (OUT / f"{name}.txt").write_text(text)
-        (OUT / f"{name}.csv").write_text(result.csv())
-        print(text, flush=True)
-        print(f"[{name}] done in {elapsed:.0f}s", flush=True)
-        done.append((name, elapsed))
+        print(result.save(OUT, entry.stem), flush=True)
+        print(f"[{entry.name}] done in {elapsed:.0f}s", flush=True)
+        done.append((entry.name, elapsed))
 
     print(f"\n=== summary ({time.time() - total_start:.0f}s total) ===")
     for name, elapsed in done:

@@ -12,7 +12,8 @@ from typing import List, Optional, Sequence
 
 from ...apps import HelloWorld
 from ...core import RuntimeConfig
-from ..runner import ExperimentResult, job_spec, run_jobs
+from ...exec import run_sweep
+from ..runner import ExperimentResult, job_spec
 from ..tables import fmt_us
 
 FULL_SIZES = [256, 1024, 4096]
@@ -24,7 +25,7 @@ MODES = ("global", "intranode")
 def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
         ) -> ExperimentResult:
     sizes = list(sizes) if sizes else (QUICK_SIZES if quick else FULL_SIZES)
-    results = run_jobs(
+    results = run_sweep(
         job_spec(
             HelloWorld(), npes,
             RuntimeConfig(

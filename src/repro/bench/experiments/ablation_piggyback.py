@@ -10,12 +10,13 @@ latency to each new peer.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Generator, List, Optional
 
 import numpy as np
 
 from ...apps.base import Application
-from ..runner import PROPOSED, ExperimentResult, job_spec, run_jobs
+from ...exec import run_sweep
+from ..runner import PROPOSED, ExperimentResult, job_spec
 
 
 class FirstTouchLatency(Application):
@@ -38,8 +39,9 @@ class FirstTouchLatency(Application):
         return samples
 
 
-def run(npes: int = 16, quick: bool = True) -> ExperimentResult:
-    piggy, separate = run_jobs([
+def run(npes: Optional[int] = None, quick: bool = True) -> ExperimentResult:
+    npes = npes or (16 if quick else 32)
+    piggy, separate = run_sweep([
         job_spec(FirstTouchLatency(), npes,
                  PROPOSED.evolve(piggyback_segments=True),
                  testbed="A", ppn=2),

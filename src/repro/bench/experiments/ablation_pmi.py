@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...apps import HelloWorld
 from ...core import RuntimeConfig
-from ..runner import ExperimentResult, job_spec, run_jobs
+from ...exec import run_sweep
+from ..runner import ExperimentResult, job_spec
 from ..tables import fmt_us
 
 FULL_SIZES = [512, 2048, 8192]
@@ -34,7 +35,7 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
         ) -> ExperimentResult:
     sizes = list(sizes) if sizes else (QUICK_SIZES if quick else FULL_SIZES)
     grid = list(product(COMBOS, sizes))
-    results = run_jobs(
+    results = run_sweep(
         job_spec(
             HelloWorld(), npes,
             RuntimeConfig(

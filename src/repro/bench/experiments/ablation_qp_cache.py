@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Generator, List, Optional, Sequence
 
 from ...core import RuntimeConfig
-from ..runner import ExperimentResult, JobSpec, run_jobs
+from ...exec import run_sweep
+from ..runner import ExperimentResult, JobSpec
 from ..tables import fmt_us
 from ...apps.base import Application
 
@@ -43,11 +44,11 @@ class ManyPeerTraffic(Application):
         return elapsed
 
 
-def run(cache_sizes: Optional[Sequence[int]] = None, npes: int = 32,
-        quick: bool = True) -> ExperimentResult:
+def run(cache_sizes: Optional[Sequence[int]] = None, npes: int = 32
+        ) -> ExperimentResult:
     cache_sizes = list(cache_sizes) if cache_sizes else [8, 32, 128, 512]
     config = RuntimeConfig.proposed(heap_backing_kb=256)
-    results = run_jobs(
+    results = run_sweep(
         JobSpec(
             app=ManyPeerTraffic(peers=12, rounds=20), npes=npes,
             config=config, testbed="A", ppn=4,

@@ -27,27 +27,20 @@ QUICK_SIZES = [128, 256, 512]
 PHASES = [PHASE_CONN, PHASE_PMI, PHASE_MEMREG, PHASE_SHM, PHASE_OTHER]
 
 
-def run(sizes: Optional[Sequence[int]] = None, quick: bool = True,
-        observe: bool = False) -> ExperimentResult:
+def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
+        ) -> ExperimentResult:
     sizes = list(sizes) if sizes else (QUICK_SIZES if quick else FULL_SIZES)
     rows: List[list] = []
     raw = {}
-    telemetry = {}
     for npes in sizes:
-        result = run_job(HelloWorld(), npes, CURRENT, testbed="B",
-                         observe=observe)
+        result = run_job(HelloWorld(), npes, CURRENT, testbed="B")
         means = result.startup.phase_means
         raw[npes] = means
-        if result.telemetry is not None:
-            telemetry[npes] = result.telemetry
         rows.append(
             [npes]
             + [fmt_us(means.get(p, 0.0)) for p in PHASES]
             + [fmt_us(result.startup.mean_us)]
         )
-    extras = {"phase_means": raw}
-    if telemetry:
-        extras["telemetry"] = telemetry
     return ExperimentResult(
         experiment="Figure 1",
         title="start_pes breakdown, static design (Cluster-B, 16 ppn)",
@@ -55,5 +48,5 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True,
         rows=rows,
         note="Connection Setup and PMI Exchange grow with job size; "
              "the other phases are ~constant.",
-        extras=extras,
+        extras={"phase_means": raw},
     )

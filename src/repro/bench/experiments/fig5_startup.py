@@ -14,15 +14,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ...apps import HelloWorld
-from ...obs import diff_snapshots
+from ...exec import run_sweep
 from ...shmem import STARTUP_PHASES
-from ..runner import (
-    CURRENT,
-    PROPOSED,
-    ExperimentResult,
-    job_spec,
-    run_jobs,
-)
+from ..runner import CURRENT, PROPOSED, ExperimentResult, job_spec, run_job
 from ..tables import fmt_ratio, fmt_us
 
 FULL_SIZES = [128, 256, 512, 1024, 2048, 4096, 8192]
@@ -41,32 +35,19 @@ SCALE_SIZES = [16384, 32768, 65536, 131072, 262144, 524288, 1048576]
 MACRO_THRESHOLD = 131072
 
 
-def run(sizes: Optional[Sequence[int]] = None, quick: bool = True,
-        timeline=False) -> ExperimentResult:
-    """``timeline`` (opt-in, ``True`` or a TimelineConfig-style dict)
-    samples every run's time-series and adds a current-vs-proposed
-    telemetry diff per size to ``extras["startup_diff"]``.  Off by
-    default: sampling leaves simulated time untouched but the static
-    design's probes walk O(npes) state per tick, which is real wall
-    time at the full sweep sizes."""
+def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
+        ) -> ExperimentResult:
     sizes = list(sizes) if sizes else (QUICK_SIZES if quick else FULL_SIZES)
-    observe = {"timeline": timeline} if timeline else False
-    specs = [
-        job_spec(HelloWorld(), npes, config, testbed="B", observe=observe)
+    results = run_sweep(
+        job_spec(HelloWorld(), npes, config, testbed="B")
         for npes in sizes
         for config in (CURRENT, PROPOSED)
-    ]
-    results = run_jobs(specs)
+    )
     rows: List[list] = []
     raw: Dict[int, Dict[str, object]] = {}
-    startup_diff: Dict[int, dict] = {}
     for i, npes in enumerate(sizes):
         current, proposed = results[2 * i], results[2 * i + 1]
         raw[npes] = {"current": current, "proposed": proposed}
-        if timeline:
-            startup_diff[npes] = diff_snapshots(
-                current.telemetry, proposed.telemetry
-            )
         init_ratio = current.startup.mean_us / proposed.startup.mean_us
         wall_ratio = current.wall_time_us / proposed.wall_time_us
         rows.append([
@@ -89,12 +70,16 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True,
         rows=rows,
         note="proposed start_pes is near-constant; paper reports ~3x init "
              "and ~8.3x Hello World at 8192",
-        extras={"raw": raw, "startup_diff": startup_diff or None},
+        extras={"raw": raw},
     )
 
 
-def run_scale(sizes: Optional[Sequence[int]] = None) -> ExperimentResult:
+def run_scale(sizes: Optional[Sequence[int]] = None, quick: bool = True
+              ) -> ExperimentResult:
     """Figure 5 extended: on-demand startup far past the paper's 8,192.
+
+    Quick scale runs the 16,384-PE point only; paper scale runs every
+    :data:`SCALE_SIZES` point.
 
     Proposed (on-demand) design only, one job per size, run serially
     in-process — at these sizes a single job dominates a core and the
@@ -112,9 +97,7 @@ def run_scale(sizes: Optional[Sequence[int]] = None) -> ExperimentResult:
     import resource
     import time
 
-    from ..runner import run_job
-
-    sizes = list(sizes) if sizes else SCALE_SIZES
+    sizes = list(sizes) if sizes else (SCALE_SIZES[:1] if quick else SCALE_SIZES)
     rows: List[list] = []
     raw: Dict[int, object] = {}
     wallclock: Dict[int, dict] = {}
@@ -159,7 +142,7 @@ def run_breakdown(sizes: Optional[Sequence[int]] = None, quick: bool = True
                   ) -> ExperimentResult:
     """Figure 5(b): phase breakdown of the *proposed* design."""
     sizes = list(sizes) if sizes else (QUICK_SIZES if quick else FULL_SIZES[:-1])
-    results = run_jobs(
+    results = run_sweep(
         job_spec(HelloWorld(), npes, PROPOSED, testbed="B") for npes in sizes
     )
     rows: List[list] = []

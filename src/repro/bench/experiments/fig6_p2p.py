@@ -24,10 +24,12 @@ def _latency(app_cls, sizes, iterations, config):
     return result.app_results[0]
 
 
-def run(sizes: Optional[Sequence[int]] = None, iterations: int = 100,
-        quick: bool = True) -> ExperimentResult:
+def run(sizes: Optional[Sequence[int]] = None,
+        iterations: Optional[int] = None, quick: bool = True
+        ) -> ExperimentResult:
     """Figures 6(a) get and 6(b) put."""
     sizes = list(sizes) if sizes else (QUICK_SIZES if quick else DEFAULT_SIZES)
+    iterations = iterations or (100 if quick else 1000)
     rows: List[list] = []
     raw = {"get": {}, "put": {}}
     for op, cls in (("get", GetLatency), ("put", PutLatency)):
@@ -48,8 +50,10 @@ def run(sizes: Optional[Sequence[int]] = None, iterations: int = 100,
     )
 
 
-def run_atomics(iterations: int = 100, quick: bool = True) -> ExperimentResult:
+def run_atomics(iterations: Optional[int] = None, quick: bool = True
+                ) -> ExperimentResult:
     """Figure 6(c): atomic-operation latency."""
+    iterations = iterations or (100 if quick else 1000)
     static = _latency_atomics(iterations, CURRENT)
     ondemand = _latency_atomics(iterations, PROPOSED)
     rows = []

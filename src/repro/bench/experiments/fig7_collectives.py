@@ -11,14 +11,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ...exec import run_sweep
 from ..microbench import BarrierLatency, CollectiveLatency
-from ..runner import (
-    CURRENT,
-    PROPOSED,
-    ExperimentResult,
-    job_spec,
-    run_jobs,
-)
+from ..runner import CURRENT, PROPOSED, ExperimentResult, job_spec
 from ..tables import fmt_us
 
 FULL_NPES = 512
@@ -28,15 +23,17 @@ QUICK_BARRIER_SIZES = [32, 64, 128]
 
 
 def run(npes: Optional[int] = None, sizes: Optional[Sequence[int]] = None,
-        iterations: int = 10, quick: bool = True) -> ExperimentResult:
+        iterations: Optional[int] = None, quick: bool = True
+        ) -> ExperimentResult:
     """Figures 7(a) collect and 7(b) reduce."""
     npes = npes or (QUICK_NPES if quick else FULL_NPES)
+    iterations = iterations or (10 if quick else 20)
     sizes = list(sizes) if sizes else [64, 1024, 16384]
     rows: List[list] = []
     raw = {"collect": {}, "reduce": {}}
     backing = max(1024, (max(sizes) * (npes + 2)) // 1024 + 64)
     kinds = ("collect", "reduce")
-    results = run_jobs(
+    results = run_sweep(
         job_spec(
             CollectiveLatency(kind, sizes=sizes, iterations=iterations),
             npes, config, testbed="A", heap_backing_kb=backing,
@@ -70,7 +67,7 @@ def run_barrier(sizes: Optional[Sequence[int]] = None, iterations: int = 30,
     sizes = list(sizes) if sizes else (
         QUICK_BARRIER_SIZES if quick else FULL_BARRIER_SIZES
     )
-    results = run_jobs(
+    results = run_sweep(
         job_spec(BarrierLatency(iterations=iterations), npes, config,
                  testbed="A")
         for npes in sizes

@@ -31,9 +31,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ...apps import ChurnWorkload
+from ...exec import run_sweep
 from ...gasnet import LifecyclePolicy
-from ...obs import diff_snapshots, series_peak
-from ..runner import PROPOSED, ExperimentResult, job_spec, run_jobs
+from ...obs import series_peak
+from ..runner import PROPOSED, ExperimentResult, job_spec
 
 FULL_SIZES = [256, 1024]
 QUICK_SIZES = [64]
@@ -69,7 +70,7 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
     app = _app()
     grid = [(npes, label, policy)
             for npes in sizes for label, policy in POLICIES]
-    results = run_jobs(
+    results = run_sweep(
         job_spec(app, npes, PROPOSED, testbed="A",
                  observe={"timeline": True}, lifecycle=policy)
         for npes, label, policy in grid
@@ -77,7 +78,6 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
 
     rows: List[list] = []
     series: Dict[str, Dict[int, Dict[str, float]]] = {}
-    telemetry: Dict[str, Dict[int, dict]] = {}
     for (npes, label, _policy), result in zip(grid, results):
         peak = max(r["peak_connections"] for r in result.app_results)
         final = max(r["final_connections"] for r in result.app_results)
@@ -99,7 +99,6 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
                 f"timeline peak {tl_peak} != scalar peak {peak} "
                 f"(npes={npes}, policy={label})"
             )
-        telemetry.setdefault(label, {})[npes] = result.telemetry
         series.setdefault(label, {})[npes] = {
             "peak_connections": peak,
             "final_connections": final,
@@ -114,16 +113,6 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
             "-" if hist is None else f"{p50:.1f}",
             "-" if hist is None else f"{p99:.1f}",
         ])
-
-    # How much footprint does eviction actually buy?  Diff the
-    # evict-never telemetry against lru at the largest size: the
-    # conduit.peak_connections delta is the figure's headline number.
-    footprint_diff = None
-    largest = sizes[-1]
-    if "off" in telemetry and "lru" in telemetry:
-        footprint_diff = diff_snapshots(
-            telemetry["off"][largest], telemetry["lru"][largest]
-        )
     return ExperimentResult(
         experiment="Figure 9 (churn)",
         title="QP footprint vs reconnect latency under connection churn "
@@ -137,6 +126,5 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
              "at the price of reconnect handshakes; 'tl peak' is the "
              "sampled footprint timeline's maximum (must equal the "
              "scalar peak)",
-        extras={"series": series, "epochs": EPOCHS, "partners": PARTNERS,
-                "telemetry": telemetry, "footprint_diff": footprint_diff},
+        extras={"series": series, "epochs": EPOCHS, "partners": PARTNERS},
     )

@@ -11,8 +11,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ...apps import Heat2D, NasBT, NasEP, NasMG, NasSP
+from ...exec import run_sweep
 from ..regression import project
-from ..runner import PROPOSED, ExperimentResult, job_spec, run_jobs
+from ..runner import PROPOSED, ExperimentResult, job_spec
 
 FULL_SIZES = [64, 256, 1024]
 QUICK_SIZES = [32, 128]
@@ -38,7 +39,7 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
     sizes = list(sizes) if sizes else (QUICK_SIZES if quick else FULL_SIZES)
     config = PROPOSED.evolve(heap_backing_kb=2048)
     grid = [(npes, name, app) for npes in sizes for name, app in _apps(npes)]
-    results = run_jobs(
+    results = run_sweep(
         job_spec(app, npes, config, testbed="A") for npes, name, app in grid
     )
     per_app: Dict[str, Dict[int, float]] = {}

@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ...apps import Heat2D, NasBT, NasEP, NasMG, NasSP
-from ..runner import PROPOSED, ExperimentResult, job_spec, run_jobs
+from ...exec import run_sweep
+from ..runner import PROPOSED, ExperimentResult, job_spec
 
 
 def _apps(npes: int, nas_class: str):
@@ -33,15 +34,14 @@ def _heat_n(npes: int) -> int:
     return base * 8
 
 
-def run(npes: int = 64, nas_class: str = "S", quick: bool = True
+def run(npes: Optional[int] = None, nas_class: str = "S", quick: bool = True
         ) -> ExperimentResult:
-    if not quick and npes < 256:
-        npes = 256
+    npes = npes or (64 if quick else 256)
     rows: List[list] = []
     raw = {}
     config = PROPOSED.evolve(heap_backing_kb=2048)
     apps = _apps(npes, nas_class)
-    results = run_jobs(
+    results = run_sweep(
         job_spec(app, npes, config, testbed="A") for _name, app in apps
     )
     for (name, _app), result in zip(apps, results):
@@ -55,5 +55,5 @@ def run(npes: int = 64, nas_class: str = "S", quick: bool = True
         rows=rows,
         note="every application uses a small subset of its peers; "
              "EP is the sparsest",
-        extras={"peers": raw},
+        extras={"peers": raw, "npes": npes},
     )

@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from pathlib import Path
+from typing import Any, Dict, List, Optional
 
 from ..core import JobResult, RuntimeConfig
-from ..exec import JobSpec, execute, run_sweep
+from ..exec import JobSpec, execute
 
 __all__ = [
     "ExperimentResult",
     "job_spec",
     "run_job",
-    "run_jobs",
     "JobSpec",
     "CURRENT",
     "PROPOSED",
@@ -47,6 +47,16 @@ class ExperimentResult:
         from .tables import rows_to_csv
 
         return rows_to_csv(self.columns, self.rows)
+
+    def save(self, directory: Path, stem: str) -> str:
+        """Write ``{stem}.txt`` and ``{stem}.csv`` under ``directory``;
+        returns the rendered table."""
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        text = self.render()
+        (directory / f"{stem}.txt").write_text(text)
+        (directory / f"{stem}.csv").write_text(self.csv())
+        return text
 
 
 def job_spec(
@@ -90,15 +100,3 @@ def run_job(
     """
     return execute(job_spec(app, npes, config, testbed=testbed, ppn=ppn,
                             **config_overrides))
-
-
-def run_jobs(specs: Iterable[JobSpec],
-             max_workers: Optional[int] = None) -> List[JobResult]:
-    """Run an experiment's job grid through the sweep pool.
-
-    Results come back in spec order (see ``repro.exec`` for the
-    determinism and failure contracts); ``REPRO_PAR`` controls the
-    worker count, with ``REPRO_PAR=0`` forcing the in-process serial
-    path.
-    """
-    return run_sweep(specs, max_workers=max_workers)

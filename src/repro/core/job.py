@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import gc
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..check import CheckPlan, Sanitizer
 from ..cluster import Cluster, cluster_a
@@ -49,7 +49,6 @@ class Job:
         npes: int,
         config: Optional[RuntimeConfig] = None,
         cluster: Optional[Cluster] = None,
-        cluster_factory: Optional[Callable[[int], Cluster]] = None,
         trace: bool = False,
         faults: Optional[FaultPlan] = None,
         observe=None,
@@ -70,11 +69,7 @@ class Job:
             if value is not None
         }
         self.config = config.evolve(**overrides) if overrides else config
-        if cluster is not None:
-            self.cluster = cluster
-        else:
-            factory = cluster_factory or cluster_a
-            self.cluster = factory(npes)
+        self.cluster = cluster if cluster is not None else cluster_a(npes)
         if self.cluster.npes != npes:
             raise ConfigError(
                 f"cluster sized for {self.cluster.npes} PEs, job wants {npes}"

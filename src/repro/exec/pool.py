@@ -47,7 +47,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..cluster.params import CostModel
 from ..core import Job, RuntimeConfig
@@ -110,7 +110,7 @@ class JobSpec:
     #: ``{"qp_cache_entries": 8}`` for ablation D5).  Normalised to a
     #: sorted tuple so specs stay hashable.
     cost_overrides: Optional[Tuple[Tuple[str, Any], ...]] = None
-    #: Human-readable tag used in error messages and progress output.
+    #: Human-readable tag used in error messages.
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -316,21 +316,17 @@ def _warm_worker() -> None:
     import repro.bench.microbench  # noqa: F401
 
 
-def _run_serial(specs: List[JobSpec],
-                progress: Optional[Callable] = None) -> List[Any]:
+def _run_serial(specs: List[JobSpec]) -> List[Any]:
     results = []
-    for i, spec in enumerate(specs):
+    for spec in specs:
         try:
             results.append(execute(spec))
         except Exception as exc:
             raise SweepError(spec, exc) from exc
-        if progress is not None:
-            progress(spec, i + 1, len(specs))
     return results
 
 
-def _run_parallel(specs: List[JobSpec], workers: int,
-                  progress: Optional[Callable] = None) -> List[Any]:
+def _run_parallel(specs: List[JobSpec], workers: int) -> List[Any]:
     import multiprocessing
 
     mp_context = None
@@ -359,21 +355,14 @@ def _run_parallel(specs: List[JobSpec], workers: int,
                 for pending in futures[i + 1:]:
                     pending.cancel()
                 raise SweepError(spec, exc) from exc
-            if progress is not None:
-                progress(spec, i + 1, len(specs))
         return results
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_sweep(specs: Iterable[JobSpec],
-              max_workers: Optional[int] = None,
-              progress: Optional[Callable] = None) -> List[Any]:
-    """Run every spec; returns JobResults in spec order.
-
-    ``progress``, when given, is called as ``progress(spec, done,
-    total)`` after each job completes (in spec order).
-    """
+              max_workers: Optional[int] = None) -> List[Any]:
+    """Run every spec; returns JobResults in spec order."""
     specs = list(specs)
     for spec in specs:
         if not isinstance(spec, JobSpec):
@@ -382,5 +371,5 @@ def run_sweep(specs: Iterable[JobSpec],
         return []
     workers = resolve_workers(max_workers, njobs=len(specs))
     if workers <= 1:
-        return _run_serial(specs, progress)
-    return _run_parallel(specs, workers, progress)
+        return _run_serial(specs)
+    return _run_parallel(specs, workers)

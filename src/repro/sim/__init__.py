@@ -5,7 +5,7 @@ event loop, :mod:`repro.sim.process` for generator-coroutine processes,
 and :mod:`repro.sim.sync` for synchronisation primitives.
 """
 
-from .calendar import CalendarQueue, HeapQueue, Wave
+from .calendar import CalendarQueue, HeapQueue
 from .engine import AllOf, AnyOf, SimEvent, SimulationError, Simulator, Timeout, Waitable
 from .process import Process, ProcessFailure, spawn, spawn_batch
 from .profile import KernelProfile
@@ -27,7 +27,6 @@ __all__ = [
     "spawn_batch",
     "CalendarQueue",
     "HeapQueue",
-    "Wave",
     "KernelProfile",
     "Mailbox",
     "Semaphore",

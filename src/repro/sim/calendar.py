@@ -22,19 +22,17 @@ a single dispatch decision:
     never worse, O(1) amortized when load is spread.
 
 :class:`Wave`
-    One scheduler entry standing for *N homogeneous member events*.
-    ``Simulator.schedule_wave`` reserves a **contiguous block of
-    sequence numbers** — one per member — and stores the member keys in
-    a NumPy struct array (``when: f8, seq: i8``).  Because the block is
+    One scheduler entry standing for *N homogeneous member events* at
+    one instant.  ``Simulator.schedule_wave`` reserves a **contiguous
+    block of sequence numbers** — one per member.  Because the block is
     contiguous, no other event's ``(time, seq)`` key can fall *between*
-    two members scheduled for the same instant, so dispatching all
-    same-time members back-to-back from a single entry is provably
-    identical to popping N independent heap entries (anything scheduled
-    *during* the batch gets a later seq and therefore ran after the
-    whole batch under the old scheme too).  Members at later times
-    re-arm the wave under the next member's original ``(when, seq)``
-    key, so affine waves (release times computed in one vectorized
-    evaluation) interleave exactly as independent entries would.
+    two members, so dispatching them back-to-back from a single entry
+    is provably identical to popping N independent heap entries
+    (anything scheduled *during* the batch gets a later seq and
+    therefore ran after the whole batch under the old scheme too).  If
+    a member raises, the wave re-arms under the next member's reserved
+    key, so the rest still dispatch exactly where independent entries
+    would have.
 
 The golden-trace and chaos byte-identity suites pin all of this down
 against :class:`HeapQueue`, the original single binary heap kept as the
@@ -44,14 +42,9 @@ against :class:`HeapQueue`, the original single binary heap kept as the
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
-import numpy as np
-
-__all__ = ["CalendarQueue", "HeapQueue", "Wave", "WAVE_KEY_DTYPE"]
-
-#: NumPy struct layout for a wave's member keys.
-WAVE_KEY_DTYPE = np.dtype([("when", np.float64), ("seq", np.int64)])
+__all__ = ["CalendarQueue", "HeapQueue", "Wave"]
 
 
 class HeapQueue:
@@ -221,108 +214,55 @@ class CalendarQueue:
 
 
 class Wave:
-    """N homogeneous member events behind one scheduler entry.
+    """N same-instant member events behind one scheduler entry.
 
     Created via :meth:`repro.sim.engine.Simulator.schedule_wave`; not
-    instantiated directly.  Member keys live in a NumPy struct array
-    (:data:`WAVE_KEY_DTYPE`); member payloads in a plain list.  The
-    reserved seq block makes batched dispatch order-exact (module
-    docstring has the argument).
-
-    :meth:`cancel` masks a member that has not been dispatched yet —
-    its slot is skipped, exactly as if its callback had checked a
-    "still wanted?" flag and returned, which is how cancellation looks
-    under per-entry scheduling.
+    instantiated directly.  Member ``i`` owns the reserved key
+    ``(when, seq0 + i)``; the contiguous block makes batched dispatch
+    order-exact (module docstring has the argument).
     """
 
-    __slots__ = ("sim", "fn", "args", "keys", "uniform", "idx", "n",
-                 "cancelled")
+    __slots__ = ("sim", "fn", "args", "when", "seq0", "idx")
 
     def __init__(self, sim, fn: Callable[[Any], None], args: Sequence[Any],
-                 whens: np.ndarray, uniform: bool) -> None:
+                 when: float, seq0: int) -> None:
         self.sim = sim
         self.fn = fn
         self.args = list(args)
-        self.n = len(self.args)
-        self.keys = whens  # struct array, len n
-        self.uniform = uniform
+        self.when = when
+        self.seq0 = seq0
         self.idx = 0
-        self.cancelled: Optional[np.ndarray] = None
 
-    # -- inspection ----------------------------------------------------
-    @property
-    def dispatched(self) -> int:
-        """Members already delivered (or skipped as cancelled)."""
-        return self.idx
-
-    @property
-    def pending(self) -> int:
-        return self.n - self.idx
-
-    def member_key(self, i: int) -> Tuple[float, int]:
-        """The ``(when, seq)`` dispatch key reserved for member ``i``."""
-        rec = self.keys[i]
-        return float(rec["when"]), int(rec["seq"])
-
-    # -- cancellation --------------------------------------------------
-    def cancel(self, i: int) -> bool:
-        """Mask member ``i``; returns False if it already dispatched."""
-        if not (0 <= i < self.n):
-            raise IndexError(f"wave member {i} out of range (n={self.n})")
-        if i < self.idx:
-            return False
-        if self.cancelled is None:
-            self.cancelled = np.zeros(self.n, dtype=bool)
-        self.cancelled[i] = True
-        return True
-
-    # -- dispatch (engine-facing) --------------------------------------
     def _dispatch(self, _arg: Any) -> None:
         sim = self.sim
         fn = self.fn
         args = self.args
         start = i = self.idx
-        n = self.n
+        n = len(args)
         prev = sim._wave_active
         # While the batch runs, members i+1..n are in flight but not
         # visible in any queue; the flag keeps the process trampoline
         # from resuming a continuation ahead of them (see process.py).
         sim._wave_active = True
-        # ``self.idx`` advances *before* each member's callback and the
-        # mask is re-read per member: a member may cancel a later member
-        # of its own wave mid-batch (cancel of itself or an earlier one
-        # correctly reports "already dispatched").
+        # ``self.idx`` advances *before* each member's callback, so a
+        # member that raises counts as dispatched.
         try:
-            if self.uniform:
-                while i < n:
-                    self.idx = i + 1
-                    c = self.cancelled
-                    if c is None or not c[i]:
-                        fn(args[i])
-                    i += 1
-            else:
-                whens = self.keys["when"]
-                t = whens[i]
-                while i < n and whens[i] == t:
-                    self.idx = i + 1
-                    c = self.cancelled
-                    if c is None or not c[i]:
-                        fn(args[i])
-                    i += 1
+            while i < n:
+                self.idx = i + 1
+                fn(args[i])
+                i += 1
         finally:
             sim._wave_active = prev
             i = self.idx
             k = i - start
             if i < n:
-                # Re-arm under the next member's reserved key.
+                # A member raised: re-arm the rest under the next
+                # member's reserved key.
                 sim._wave_extra -= k
-                rec = self.keys[i]
-                sim._sched.push(
-                    float(rec["when"]), int(rec["seq"]), self._dispatch, None
-                )
+                sim._sched.push(self.when, self.seq0 + i, self._dispatch, None)
             else:
                 sim._wave_extra -= k - 1
                 self.args = ()  # release member payloads promptly
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Wave n={self.n} dispatched={self.idx}>"
+        return f"<Wave n={len(self.args)} dispatched={self.idx}>"

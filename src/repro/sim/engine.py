@@ -46,11 +46,9 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, List, Optional, Sequence
 
-import numpy as np
-
-from .calendar import WAVE_KEY_DTYPE, CalendarQueue, HeapQueue, Wave
+from .calendar import CalendarQueue, HeapQueue, Wave
 
 __all__ = [
     "Simulator",
@@ -340,59 +338,32 @@ class Simulator:
         """
         self._schedule_at(when, fn, arg)
 
-    def schedule_wave(self, when: Union[float, Sequence[float], np.ndarray],
-                      fn: Callable[[Any], None],
-                      args: Sequence[Any]) -> Optional[Wave]:
-        """Schedule ``fn(arg)`` for every ``arg`` as one aggregate.
+    def schedule_wave(self, when: float, fn: Callable[[Any], None],
+                      args: Sequence[Any]) -> None:
+        """Schedule ``fn(arg)`` for every ``arg`` at instant ``when``, as
+        one aggregate.
 
-        ``when`` is either a single timestamp (all members fire at the
-        same instant) or a non-decreasing array of per-member
-        timestamps (an *affine* wave — e.g. release times computed in
-        one vectorized cost evaluation).  A contiguous block of
-        ``len(args)`` sequence numbers is reserved, so dispatch order
-        is byte-identical to ``len(args)`` separate ``_schedule_at``
-        calls made back-to-back — at a single scheduler entry's cost.
-
-        Returns the :class:`~repro.sim.calendar.Wave` (supports member
-        cancellation), or ``None`` for an empty ``args`` (no seq
-        numbers consumed, matching a zero-iteration scheduling loop).
+        A contiguous block of ``len(args)`` sequence numbers is
+        reserved, so dispatch order is byte-identical to ``len(args)``
+        separate ``_schedule_at`` calls made back-to-back — at a single
+        scheduler entry's cost.  An empty ``args`` schedules nothing
+        and consumes no seq numbers, matching a zero-iteration loop.
         """
         n = len(args)
         if n == 0:
-            return None
-        keys = np.empty(n, dtype=WAVE_KEY_DTYPE)
-        if isinstance(when, (float, int)):
-            when0 = float(when)
-            if when0 < self.now:
-                raise SimulationError(
-                    f"cannot schedule in the past ({when0} < now={self.now})"
-                )
-            keys["when"] = when0
-            uniform = True
-        else:
-            whens = np.asarray(when, dtype=np.float64)
-            if whens.shape != (n,):
-                raise ValueError(
-                    f"wave times shape {whens.shape} != ({n},)"
-                )
-            if whens[0] < self.now:
-                raise SimulationError(
-                    f"cannot schedule in the past ({whens[0]} < now={self.now})"
-                )
-            if n > 1 and bool(np.any(np.diff(whens) < 0)):
-                raise ValueError("wave member times must be non-decreasing")
-            keys["when"] = whens
-            when0 = float(whens[0])
-            uniform = bool(whens[0] == whens[-1])
+            return
+        when = float(when)
+        if when < self.now:
+            raise SimulationError(
+                f"cannot schedule in the past ({when} < now={self.now})"
+            )
         seq0 = self._seq + 1
         self._seq += n
-        keys["seq"] = np.arange(seq0, seq0 + n, dtype=np.int64)
-        wave = Wave(self, fn, args, keys, uniform)
-        self._push(when0, seq0, wave._dispatch, None)
+        self._push(when, seq0, Wave(self, fn, args, when, seq0)._dispatch,
+                   None)
         self._wave_extra += n - 1
         if self._prof is not None:
             self._prof._record_wave(fn, n)
-        return wave
 
     def _call_soon(self, fn: Callable[[Any], None], arg: Any = None) -> None:
         """Schedule ``fn(arg)`` at the current time via the microtask

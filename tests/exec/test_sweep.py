@@ -139,14 +139,6 @@ class TestRunSweepBasics:
         results = run_sweep([_hello(4), _hello(8)], max_workers=1)
         assert [r.npes for r in results] == [4, 8]
 
-    def test_progress_reports_in_spec_order(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAR", "0")
-        seen = []
-        run_sweep([_hello(4), _hello(8)],
-                  progress=lambda spec, done, total: seen.append(
-                      (spec.npes, done, total)))
-        assert seen == [(4, 1, 2), (8, 2, 2)]
-
 
 # ----------------------------------------------------------------------
 # parallel == serial, byte for byte

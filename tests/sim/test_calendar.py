@@ -12,8 +12,7 @@ go wrong:
 * event times landing exactly on bucket (day) boundaries;
 * far-future timeouts that live in the overflow heap and must migrate
   back in as the clock approaches;
-* wave members cancelled mid-dispatch (from an earlier member of the
-  same wave);
+* same-instant waves against independently scheduled entries;
 * a seeded random storm mixing all of the above.
 """
 
@@ -21,10 +20,7 @@ import random
 
 import pytest
 
-from repro.sim import CalendarQueue, HeapQueue, Simulator, Wave, spawn
-from repro.sim.calendar import WAVE_KEY_DTYPE
-
-import numpy as np
+from repro.sim import CalendarQueue, HeapQueue, Simulator, spawn
 
 SCHEDULERS = ("heap", "calendar")
 
@@ -189,7 +185,7 @@ def test_overflow_merges_with_bucket_day():
 
 
 # ----------------------------------------------------------------------
-# waves: batching, affine times, cancellation
+# waves: batching
 # ----------------------------------------------------------------------
 def test_uniform_wave_matches_individual_schedules():
     """One N-member wave dispatches byte-identically to N separate
@@ -213,118 +209,33 @@ def test_uniform_wave_matches_individual_schedules():
     assert logs["wave"] == logs["loop"]
 
 
-def test_affine_wave_interleaves_like_individual_entries():
-    """Members at distinct times re-arm under their reserved keys, so
-    foreign events scheduled between member times interleave exactly
-    as they would against independent entries."""
-    whens = np.array([10.0, 10.0, 12.0, 14.0])
+def test_wave_resumes_after_a_raising_member():
+    """A member that raises leaves the rest of the wave armed under
+    their reserved keys: they still run ahead of a later-scheduled
+    same-instant entry, and pending_events counts them meanwhile."""
 
-    def build_wave(sim, log):
-        sim.schedule_wave(whens, lambda i: log.append((sim.now, "m", i)),
-                          list(range(4)))
-        for t in (9.0, 11.0, 13.0, 15.0):
-            sim._schedule_at(t, lambda _a, t=t: log.append((t, "f", t)))
-
-    def build_loop(sim, log):
-        for i, w in enumerate(whens):
-            sim._schedule_at(float(w),
-                             lambda _a, i=i: log.append((sim.now, "m", i)))
-        for t in (9.0, 11.0, 13.0, 15.0):
-            sim._schedule_at(t, lambda _a, t=t: log.append((t, "f", t)))
-
-    logs = {}
-    for name, build in (("wave", build_wave), ("loop", build_loop)):
-        sim = Simulator()
-        log = []
-        build(sim, log)
-        sim.run()
-        logs[name] = log
-    assert logs["wave"] == logs["loop"]
-    assert [e[1:] for e in logs["wave"]] == [
-        ("f", 9.0), ("m", 0), ("m", 1), ("f", 11.0), ("m", 2),
-        ("f", 13.0), ("m", 3), ("f", 15.0)]
-
-
-def test_wave_rejects_decreasing_times():
-    sim = Simulator()
-    with pytest.raises(Exception):
-        sim.schedule_wave(np.array([5.0, 4.0]), lambda i: None, [0, 1])
-
-
-def test_cancel_batched_member_mid_wave():
-    """Member 0's callback cancels member 2 *while the wave is being
-    dispatched*: the slot is skipped, identically (same survivors, same
-    order) to a per-entry schedule whose member-2 callback checks a
-    cancelled flag."""
-
-    def survivors_with_wave():
-        sim = Simulator()
-        log = []
-        wave_box = []
-
+    def build(sim, log):
         def member(i):
-            if i == 0:
-                wave_box[0].cancel(2)
             log.append((sim.now, i))
+            if i == 1:
+                raise RuntimeError("member 1")
 
-        wave_box.append(
-            sim.schedule_wave(3.0, member, list(range(5))))
-        sim.run()
-        return log
+        sim.schedule_wave(5.0, member, [0, 1, 2, 3])
+        sim._schedule_at(5.0, lambda _a: log.append((sim.now, "after")))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.pending_events == 3
 
-    def survivors_with_loop():
-        sim = Simulator()
-        log = []
-        cancelled = set()
-
-        def member(_a, i):
-            if i in cancelled:
-                return
-            if i == 0:
-                cancelled.add(2)
-            log.append((sim.now, i))
-
-        for i in range(5):
-            sim._schedule_at(3.0, lambda _a, i=i: member(_a, i))
-        sim.run()
-        return log
-
-    assert survivors_with_wave() == survivors_with_loop()
-    assert [i for _, i in survivors_with_wave()] == [0, 1, 3, 4]
-
-
-def test_cancel_after_dispatch_returns_false():
-    sim = Simulator()
-    hits = []
-    wave = sim.schedule_wave(1.0, hits.append, [0, 1, 2])
-    sim.run()
-    assert hits == [0, 1, 2]
-    assert wave.cancel(1) is False
-    with pytest.raises(IndexError):
-        wave.cancel(3)
-
-
-def test_cancel_pending_affine_member():
-    """Cancelling a not-yet-due member of an affine wave skips it when
-    its time arrives."""
-    sim = Simulator()
-    log = []
-    wave = sim.schedule_wave(
-        np.array([1.0, 2.0, 3.0]),
-        lambda i: log.append((sim.now, i)), [0, 1, 2])
-    assert wave.cancel(1) is True
-    sim.run()
-    assert log == [(1.0, 0), (3.0, 2)]
+    log = _run_both(build)
+    assert [e[1] for e in log] == [0, 1, 2, 3, "after"]
 
 
 def test_wave_pending_events_accounting():
     sim = Simulator()
-    wave = sim.schedule_wave(1.0, lambda i: None, list(range(6)))
+    sim.schedule_wave(1.0, lambda i: None, list(range(6)))
     assert sim.pending_events == 6
     sim.run()
     assert sim.pending_events == 0
-    assert wave.dispatched == 6
-    assert wave.pending == 0
 
 
 # ----------------------------------------------------------------------
@@ -360,9 +271,8 @@ def test_randomized_storm_byte_identical(seed):
         # A couple of waves dropped in at deterministic points.
         sim.schedule_wave(4.0, lambda i: log.append((4.0, "wave0", i)),
                           list(range(4)))
-        sim.schedule_wave(
-            np.array([16.0, 16.0, 24.0]),
-            lambda i: log.append((sim.now, "wave1", i)), [0, 1, 2])
+        sim.schedule_wave(16.0, lambda i: log.append((sim.now, "wave1", i)),
+                          [0, 1, 2])
 
     _run_both(build, calendar_width_us=8.0, calendar_horizon_days=16)
 
@@ -401,7 +311,3 @@ def test_simulator_rejects_unknown_scheduler():
     with pytest.raises(ValueError):
         Simulator(scheduler="fibonacci")
 
-
-def test_wave_key_dtype_layout():
-    assert WAVE_KEY_DTYPE.names == ("when", "seq")
-    assert Wave.__name__ == "Wave"  # exported and importable
