@@ -20,7 +20,7 @@ Quickstart::
     from repro.core import Job, RuntimeConfig
     from repro.apps import HelloWorld
 
-    job = Job(npes=64, config=RuntimeConfig.on_demand())
+    job = Job(npes=64, config=RuntimeConfig.proposed())
     result = job.run(HelloWorld())
     print(result.startup.breakdown, result.wall_time_us)
 """

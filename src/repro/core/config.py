@@ -8,7 +8,9 @@ cannot help the static scheme).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Any, Optional
 
 from ..check import CheckPlan
@@ -22,6 +24,10 @@ __all__ = ["RuntimeConfig"]
 _CONNECTION_MODES = ("static", "ondemand")
 _PMI_MODES = ("blocking", "nonblocking")
 _BARRIER_MODES = ("global", "intranode")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -92,10 +98,25 @@ class RuntimeConfig:
             raise ConfigError(f"pmi_mode must be one of {_PMI_MODES}")
         if self.barrier_mode not in _BARRIER_MODES:
             raise ConfigError(f"barrier_mode must be one of {_BARRIER_MODES}")
-        if self.heap_mb <= 0:
-            raise ConfigError("heap_mb must be positive")
-        if self.heap_backing_kb <= 0:
-            raise ConfigError("heap_backing_kb must be positive")
+        heap_mb = self.heap_mb
+        if (isinstance(heap_mb, bool) or not isinstance(heap_mb, Real)
+                or not math.isfinite(heap_mb) or heap_mb <= 0):
+            raise ConfigError(
+                f"heap_mb must be a finite positive number, got {heap_mb!r}"
+            )
+        if not _is_int(self.heap_backing_kb) or self.heap_backing_kb <= 0:
+            raise ConfigError(
+                f"heap_backing_kb must be a positive integer, "
+                f"got {self.heap_backing_kb!r}"
+            )
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
+        for name in ("piggyback_segments", "macro_phases"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be a bool, got {value!r}")
         set_ = object.__setattr__
         set_(self, "observe", canonical_observe(self.observe))
         plan = self.fault_plan
@@ -176,10 +197,6 @@ class RuntimeConfig:
             )
             cls._proposed_singleton = base
         return base.evolve(**overrides) if overrides else base
-
-    # Friendly aliases.
-    static = current
-    on_demand = proposed
 
     def evolve(self, **overrides) -> "RuntimeConfig":
         return replace(self, **overrides)

@@ -17,7 +17,6 @@ from .pool import (
     SweepError,
     execute,
     resolve_workers,
-    resolve_workers_info,
     run_sweep,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "canonical_spec",
     "execute",
     "resolve_workers",
-    "resolve_workers_info",
     "run_sweep",
     "spec_hash",
     "spec_identity",

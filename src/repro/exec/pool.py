@@ -47,15 +47,14 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Tuple
 
 from ..cluster.params import CostModel
 from ..core import Job, RuntimeConfig
 from ..errors import ConfigError
 from .identity import default_ppn, spec_description, spec_identity
 
-__all__ = ["JobSpec", "SweepError", "execute", "resolve_workers",
-           "resolve_workers_info", "run_sweep"]
+__all__ = ["JobSpec", "SweepError", "execute", "resolve_workers", "run_sweep"]
 
 _TESTBEDS = ("A", "B")
 _COST_FIELDS = frozenset(f.name for f in fields(CostModel))
@@ -225,10 +224,10 @@ def _detect_host_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_workers_info(max_workers: Optional[int] = None,
-                         njobs: Optional[int] = None,
-                         host_cpus: Optional[int] = None) -> Dict[str, Any]:
-    """Pick the worker count; returns the decision *and* why.
+def resolve_workers(max_workers: Optional[int] = None,
+                    njobs: Optional[int] = None,
+                    host_cpus: Optional[int] = None) -> int:
+    """Pick the worker count for a sweep of ``njobs`` jobs.
 
     Policy: ``REPRO_PAR=0`` (or ``1``) is a global kill switch forcing
     the serial path even when the caller asked for workers (single-core
@@ -241,35 +240,11 @@ def resolve_workers_info(max_workers: Optional[int] = None,
     request beyond the affinity mask falls back rather than thrashing.
     On a single-core host every request degrades to the serial path.
 
-    Returns a dict so callers can record the policy outcome in result
-    metadata (``BENCH_sweep.json`` stores it verbatim):
-
-    ``requested``
-        The worker count asked for (explicit argument or ``REPRO_PAR``),
-        or ``None`` for auto-detect.
-    ``host_cpus``
-        CPUs available to this process (affinity-aware).
-    ``workers``
-        The resolved count — what :func:`run_sweep` will use.
-    ``mode``
-        ``"parallel"`` or ``"serial"``.
-    ``reason``
-        Why the count differs from the request (``"REPRO_PAR kill
-        switch"``, ``"clamped to host CPUs"``, ``"single-core host"``,
-        ``"clamped to job count"``), or ``None``.
-
     ``host_cpus`` may be passed explicitly to make the policy testable
     independent of the machine running the tests.
     """
     if host_cpus is None:
         host_cpus = _detect_host_cpus()
-    info: Dict[str, Any] = {
-        "requested": max_workers,
-        "host_cpus": host_cpus,
-        "workers": 1,
-        "mode": "serial",
-        "reason": None,
-    }
     env = os.environ.get("REPRO_PAR", "").strip()
     if env:
         try:
@@ -277,32 +252,14 @@ def resolve_workers_info(max_workers: Optional[int] = None,
         except ValueError:
             raise ConfigError(f"REPRO_PAR must be an integer, got {env!r}")
         if env_workers <= 1:
-            info["reason"] = "REPRO_PAR kill switch"
-            return info
+            return 1
         if max_workers is None:
             max_workers = env_workers
-            info["requested"] = env_workers
     workers = max_workers if max_workers is not None else host_cpus
-    if workers > host_cpus:
-        workers = host_cpus
-        info["reason"] = ("single-core host" if host_cpus <= 1
-                          else "clamped to host CPUs")
-    if njobs is not None and workers > njobs:
-        workers = njobs
-        info["reason"] = "clamped to job count"
-    workers = max(1, workers)
-    info["workers"] = workers
-    info["mode"] = "parallel" if workers > 1 else "serial"
-    if workers == 1 and info["reason"] is None and host_cpus <= 1:
-        info["reason"] = "single-core host"
-    return info
-
-
-def resolve_workers(max_workers: Optional[int] = None,
-                    njobs: Optional[int] = None,
-                    host_cpus: Optional[int] = None) -> int:
-    """The worker count alone (see :func:`resolve_workers_info`)."""
-    return resolve_workers_info(max_workers, njobs, host_cpus)["workers"]
+    workers = min(workers, host_cpus)
+    if njobs is not None:
+        workers = min(workers, njobs)
+    return max(1, workers)
 
 
 # ----------------------------------------------------------------------

@@ -38,10 +38,6 @@ class TestRuntimeConfig:
     def test_label(self):
         assert RuntimeConfig.current().label == "static+blocking+global"
 
-    def test_aliases(self):
-        assert RuntimeConfig.static().connection_mode == "static"
-        assert RuntimeConfig.on_demand().connection_mode == "ondemand"
-
 
 class TestJob:
     def test_invalid_npes(self):

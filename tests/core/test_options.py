@@ -106,3 +106,23 @@ class TestMacroGuardRails:
         cfg = RuntimeConfig.current(macro_phases=True,
                                     lifecycle=LifecyclePolicy())
         assert cfg.lifecycle is None
+
+
+# ----------------------------------------------------------------------
+# bad scalars fail at construction, not deep inside the run
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("field, value", [
+    ("heap_mb", float("nan")),
+    ("heap_mb", float("inf")),
+    ("heap_mb", "256"),
+    ("heap_backing_kb", 1.5),
+    ("heap_backing_kb", True),
+    ("seed", 1.5),
+    ("seed", -1),
+    ("piggyback_segments", "no"),
+    ("macro_phases", 1),
+])
+def test_bad_scalar_is_a_one_line_config_error(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be") as exc:
+        RuntimeConfig.proposed(**{field: value})
+    assert "\n" not in str(exc.value)

@@ -17,7 +17,7 @@ from repro.apps.base import Application
 from repro.core import RuntimeConfig
 from repro.errors import ConfigError
 from repro.exec import (JobSpec, SweepError, execute, resolve_workers,
-                        resolve_workers_info, run_sweep)
+                        run_sweep)
 from repro.exec import pool as pool_mod
 from repro.faults import FaultPlan, UDFault
 from repro.sim import ProcessFailure
@@ -79,37 +79,19 @@ class TestResolveWorkers:
         # speedup — REPRO_PAR (or an explicit request) beyond the
         # affinity mask is clamped, never honoured blindly.
         monkeypatch.setenv("REPRO_PAR", "8")
-        info = resolve_workers_info(None, njobs=16, host_cpus=2)
-        assert info["workers"] == 2
-        assert info["mode"] == "parallel"
-        assert info["reason"] == "clamped to host CPUs"
-        assert info["requested"] == 8
+        assert resolve_workers(None, njobs=16, host_cpus=2) == 2
 
     def test_single_core_host_falls_back_to_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_PAR", "2")
-        info = resolve_workers_info(None, njobs=6, host_cpus=1)
-        assert info["workers"] == 1
-        assert info["mode"] == "serial"
-        assert info["reason"] == "single-core host"
+        assert resolve_workers(None, njobs=6, host_cpus=1) == 1
 
     def test_explicit_request_is_clamped_too(self, monkeypatch):
         monkeypatch.delenv("REPRO_PAR", raising=False)
-        info = resolve_workers_info(4, njobs=8, host_cpus=1)
-        assert info["workers"] == 1
-        assert info["reason"] == "single-core host"
-
-    def test_kill_switch_reports_its_reason(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAR", "0")
-        info = resolve_workers_info(4, njobs=8, host_cpus=8)
-        assert info["workers"] == 1
-        assert info["reason"] == "REPRO_PAR kill switch"
+        assert resolve_workers(4, njobs=8, host_cpus=1) == 1
 
     def test_auto_detect_uses_host_cpus(self, monkeypatch):
         monkeypatch.delenv("REPRO_PAR", raising=False)
-        info = resolve_workers_info(None, njobs=64, host_cpus=4)
-        assert info["workers"] == 4
-        assert info["mode"] == "parallel"
-        assert info["reason"] is None
+        assert resolve_workers(None, njobs=64, host_cpus=4) == 4
 
 
 # ----------------------------------------------------------------------
