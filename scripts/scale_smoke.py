@@ -18,11 +18,11 @@ Three gates, all cheap enough for every merge:
 
 3. **Scale**: a 16,384-PE on-demand startup (one fig5 scale point) on
    the exact engine must finish inside ``--budget`` wall-clock
-   seconds.  The point of the calendar-queue scheduler is that dense
-   startup waves are O(1) amortized — a regression to heap-like
-   behaviour (or an accidental O(N^2) anywhere in the startup path)
-   blows the budget immediately rather than surfacing months later on
-   someone's 65,536-PE run.
+   seconds; its peak RSS is printed but not gated.  The point of the
+   calendar-queue scheduler is that dense startup waves are O(1)
+   amortized — a regression to heap-like behaviour (or an accidental
+   O(N^2) anywhere in the startup path) blows the budget immediately
+   rather than surfacing months later on someone's 65,536-PE run.
 
 Usage::
 
@@ -56,8 +56,12 @@ def scale_gate(npes: int, budget_s: float) -> bool:
               cluster=cluster_b(npes, ppn=32))
     result = job.run(HelloWorld())
     wall = time.perf_counter() - t0
+    # Reported, not gated.  getrusage is process-wide, so this is the
+    # high-water of every gate run so far, the macro gate included.
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     ok = wall <= budget_s
     print(f"[scale-smoke] {npes}-PE: wall={wall:.1f}s "
+          f"rss={rss_mb:.0f}MB (process high-water) "
           f"sim={result.wall_time_us / 1e6:.2f}s "
           f"start_pes={result.startup.mean_us / 1e3:.1f}ms "
           f"-> {'OK' if ok else 'OVER BUDGET'}", flush=True)

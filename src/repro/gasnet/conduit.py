@@ -160,6 +160,15 @@ class Connection:
 class Conduit:
     """Abstract base conduit (one per PE)."""
 
+    __slots__ = (
+        "sim", "network", "ctx", "cluster", "cost", "pmi", "rank",
+        "counters", "tracer", "obs", "check", "_handlers", "_conns",
+        "_recv_cq", "_ud_send_cq", "ud_qp", "_ud_directory", "_dir_handle",
+        "_dir_parser", "_exchange_payload", "_payload_cb", "_ready",
+        "_held_requests", "_closed", "touched_peers", "lifecycle",
+        "peak_connections", "_nbi_outstanding", "_nbi_drained",
+    )
+
     #: Subclass tag used in reports ("static" / "on-demand").
     mode = "abstract"
 

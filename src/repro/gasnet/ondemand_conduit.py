@@ -105,6 +105,12 @@ class _PendingDisconnect:
 class OnDemandConduit(Conduit):
     """Connections are made lazily, on first communication."""
 
+    __slots__ = (
+        "_pending", "_serving", "_active_serves", "_serves_drained",
+        "_draining", "_disc_acks", "_conn_gens", "_evicted_at",
+        "_reaper_started", "_reaper_wake",
+    )
+
     mode = "on-demand"
 
     def __init__(self, *args, **kwargs) -> None:

@@ -28,9 +28,18 @@ SEGMENT_WIRE_BYTES = struct.calcsize(_SEG_FMT)
 class SegmentInfo:
     """One registered, remotely accessible memory segment."""
 
+    # Hand-written rather than ``dataclass(slots=True)``, which needs
+    # Python 3.10.  Default unpickling of a slotted object sets its
+    # attributes one by one, which a frozen class refuses, so
+    # __reduce__ rebuilds through __init__ instead.
+    __slots__ = ("addr", "size", "rkey")
+
     addr: int
     size: int
     rkey: int
+
+    def __reduce__(self):
+        return SegmentInfo, (self.addr, self.size, self.rkey)
 
     def translate(self, local_addr: int, local_base: int) -> int:
         """Map a symmetric address from the local segment into this one."""
@@ -68,6 +77,8 @@ class SegmentTable:
     each of N processes (an O(N^2) simulator cost with no timing
     meaning — the exchange time is charged in bulk at init).
     """
+
+    __slots__ = ("rank", "_by_peer", "_resolver")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank

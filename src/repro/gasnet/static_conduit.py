@@ -28,6 +28,8 @@ __all__ = ["StaticConduit"]
 class StaticConduit(Conduit):
     """All-to-all connections established at init."""
 
+    __slots__ = ("_prewired",)
+
     mode = "static"
 
     def __init__(self, *args, **kwargs) -> None:

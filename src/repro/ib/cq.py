@@ -18,6 +18,8 @@ class CompletionQueue:
     when empty.
     """
 
+    __slots__ = ("sim", "name", "_mbox")
+
     def __init__(self, sim: Simulator, name: str = "cq") -> None:
         self.sim = sim
         self.name = name

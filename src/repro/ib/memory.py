@@ -35,16 +35,27 @@ class MemoryRegion:
     touched (common in startup benchmarks) costs no real memory.
     """
 
+    # Hand-written rather than ``dataclass(slots=True)``, which needs
+    # Python 3.10; slots rule out field defaults, so ``register`` passes
+    # ``revoked`` explicitly.
+    __slots__ = (
+        "addr", "size", "rkey", "lkey", "owner_rank", "mm", "model_bytes",
+        "revoked",
+    )
+
     addr: int  #: Base virtual address in the owner's address space.
     size: int  #: Length in bytes.
     rkey: int  #: Remote access key (globally unique).
     lkey: int  #: Local key (== rkey in this model).
     owner_rank: int
     mm: "MemoryManager"  #: Owner of the backing storage.
+    #: Size charged for cost and accounting; ``size`` unless the
+    #: registrant models a larger region than it backs.
+    model_bytes: int
     #: Set by ``deregister``: the handle is dead even though the numpy
     #: view it references may still be alive.  Remote access through a
     #: revoked region must fail, never read through.
-    revoked: bool = False
+    revoked: bool
 
     @property
     def buf(self) -> np.ndarray:
@@ -65,6 +76,11 @@ class MemoryManager:
     space; ``register`` pins a range and issues an rkey.  Only
     registered ranges are remotely accessible.
     """
+
+    __slots__ = (
+        "rank", "_next_addr", "_buffers", "_regions", "_by_addr", "_revoked",
+        "registered_bytes",
+    )
 
     #: Arbitrary non-zero base so address 0 is always invalid.
     _BASE_ADDR = 0x10_0000
@@ -110,7 +126,7 @@ class MemoryManager:
             self._buffers[addr] = buf
         return buf
 
-    def _size_of(self, addr: int) -> int:
+    def size_of(self, addr: int) -> int:
         """Allocation size without materialising the backing array."""
         try:
             buf = self._buffers[addr]
@@ -121,9 +137,13 @@ class MemoryManager:
         return buf if buf.__class__ is int else len(buf)
 
     # -- registration ----------------------------------------------------
-    def register(self, addr: int) -> MemoryRegion:
-        """Register the allocation at ``addr``; returns its region."""
-        size = self._size_of(addr)
+    def register(self, addr: int,
+                 model_bytes: Optional[int] = None) -> MemoryRegion:
+        """Register the allocation at ``addr``; returns its region.
+
+        ``model_bytes`` is recorded on the region as the size its
+        registrant charged (default: the allocation size)."""
+        size = self.size_of(addr)
         if addr in self._by_addr:
             raise MemoryRegistrationError(
                 f"PE {self.rank}: {addr:#x} already registered"
@@ -132,6 +152,8 @@ class MemoryManager:
         region = MemoryRegion(
             addr=addr, size=size, rkey=key, lkey=key,
             owner_rank=self.rank, mm=self,
+            model_bytes=size if model_bytes is None else model_bytes,
+            revoked=False,
         )
         self._regions[key] = region
         self._by_addr[addr] = region
@@ -171,9 +193,8 @@ class MemoryManager:
     # -- local access ------------------------------------------------------
     def _locate(self, addr: int, nbytes: int) -> Tuple[np.ndarray, int]:
         """Find (buffer, offset) for any allocated range, registered or not."""
-        for base, buf in self._buffers.items():
-            size = buf if buf.__class__ is int else len(buf)
-            if base <= addr and addr + nbytes <= base + size:
+        for base in self._buffers:
+            if base <= addr and addr + nbytes <= base + self.size_of(base):
                 return self.buffer_of(base), addr - base
         raise RemoteAccessError(
             f"PE {self.rank}: address range {addr:#x}+{nbytes} not allocated"

@@ -25,6 +25,11 @@ _token_counter = itertools.count(1)
 class _QueuePairBase:
     """State shared by both transports."""
 
+    __slots__ = (
+        "hca", "sim", "send_cq", "recv_cq", "owner_rank", "qpn", "state",
+        "destroyed",
+    )
+
     is_rc = False
 
     def __init__(
@@ -87,6 +92,8 @@ class UDQueuePair(_QueuePairBase):
     layers must implement their own retry (the on-demand conduit does).
     """
 
+    __slots__ = ()
+
     qp_type = QPType.UD
 
     def activate(self) -> None:
@@ -140,6 +147,8 @@ class UDQueuePair(_QueuePairBase):
 
 class RCQueuePair(_QueuePairBase):
     """Reliable connected transport: RDMA, atomics, exactly-once."""
+
+    __slots__ = ("remote", "_pending", "_obs", "_obs_delivered")
 
     qp_type = QPType.RC
     is_rc = True

@@ -40,6 +40,12 @@ __all__ = ["VerbsContext"]
 class VerbsContext:
     """One PE's handle onto its node's HCA."""
 
+    __slots__ = (
+        "sim", "hca", "rank", "cost", "counters", "mm", "rc_qps_created",
+        "ud_qps_created", "connections_established", "qp_memory_bytes",
+        "registered_bytes", "_prepaid_rc_qps",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -193,14 +199,18 @@ class VerbsContext:
     def reg_mr(self, addr: int, model_bytes: Optional[int] = None) -> Generator:
         """Register the allocation at ``addr`` (yields pinning time).
 
-        ``model_bytes`` overrides the size used for the *cost and
-        accounting* (see SymmetricHeap: the simulator may back a large
-        modelled region with a smaller real buffer).
+        ``addr`` must be an allocation base, else
+        :class:`MemoryRegistrationError`.  The size is read without
+        touching the backing array, so registering a heap that moves no
+        data costs no host memory.  ``model_bytes`` overrides the size
+        used for the *cost and accounting* (see SymmetricHeap: the
+        simulator may back a large modelled region with a smaller real
+        buffer); :meth:`dereg_mr` gives back the same amount.
         """
-        buf = self.mm.buffer_of(addr)
-        size_for_cost = model_bytes if model_bytes is not None else len(buf)
+        size = self.mm.size_of(addr)  # fails fast on a non-base address
+        size_for_cost = size if model_bytes is None else model_bytes
         yield self.cost.mr_register_us(size_for_cost)
-        region = self.mm.register(addr)
+        region = self.mm.register(addr, model_bytes=size_for_cost)
         self.hca.expose_memory(self.mm, region)
         self.registered_bytes += size_for_cost
         self.counters.add("verbs.mr_registered")
@@ -210,7 +220,7 @@ class VerbsContext:
         yield self.cost.mr_deregister_us
         self.hca.hide_memory(region)
         self.mm.deregister(region)
-        self.registered_bytes -= region.size
+        self.registered_bytes -= region.model_bytes
 
     # ------------------------------------------------------------------
     # Posting helpers (charge post overhead, then fire)

@@ -59,6 +59,8 @@ _REDUCE_OPS = {
 class CollectivesMixin:
     """Mixed into :class:`repro.shmem.runtime.ShmemPE`."""
 
+    __slots__ = ()
+
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------

@@ -28,6 +28,13 @@ COLL_HANDLER = "shmem.coll"
 class ShmemContext:
     """State shared by every part of the OpenSHMEM runtime."""
 
+    __slots__ = (
+        "sim", "rank", "cluster", "cost", "ctx", "conduit", "pmi",
+        "counters", "heap", "heap_region", "segments", "timer", "obs",
+        "check", "initialized", "finalized", "node_barrier", "_coll_chan",
+        "_coll_seq", "_segrep_waiters",
+    )
+
     def __init__(
         self,
         sim: Simulator,

@@ -23,6 +23,8 @@ _FREE = 0
 class LocksMixin:
     """Mixed into :class:`repro.shmem.runtime.ShmemPE`."""
 
+    __slots__ = ()
+
     _LOCK_HOME = 0  #: PE owning the authoritative copy of every lock.
 
     def set_lock(self, lock_addr: int) -> Generator:

@@ -65,6 +65,15 @@ class ShmemPE(ShmemContext, RMAMixin, AtomicsMixin, CollectivesMixin,
               LocksMixin, StridedMixin):
     """One OpenSHMEM processing element."""
 
+    __slots__ = (
+        "config", "_peers", "init_done_at", "init_duration",
+        "_resource_snapshot",
+        # Attached from outside when the program uses them: the Job
+        # sets ``mpi`` for MPI+OpenSHMEM apps, repro.caf sets the SYNC
+        # IMAGES cells on first use.
+        "mpi", "_caf_sync_cells", "_caf_sync_seen",
+    )
+
     def __init__(
         self,
         sim: Simulator,

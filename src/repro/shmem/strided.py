@@ -22,6 +22,8 @@ __all__ = ["StridedMixin"]
 class StridedMixin:
     """Mixed into :class:`repro.shmem.runtime.ShmemPE`."""
 
+    __slots__ = ()
+
     def iput(self, peer: int, dst_addr: int, src_addr: int, dst_stride: int,
              src_stride: int, count: int, dtype=np.int64) -> Generator:
         """shmem_iput: count elements, strides in *elements*."""

@@ -24,39 +24,59 @@ class Mailbox:
     ``recv()`` returns a waitable; yield it to obtain the next message.
     Messages are delivered in send order, receivers are woken in
     arrival order.
+
+    One deque, created on first use, holds either queued messages or
+    waiting receivers' events, never both: a send with a receiver
+    waiting hands the message over at once, so messages only queue
+    while no receiver waits.  ``_receivers`` says which it holds.
+    A large startup creates several mailboxes per PE, and even an
+    empty deque costs 760 bytes.
     """
 
-    __slots__ = ("sim", "name", "_items", "_waiters")
+    __slots__ = ("sim", "name", "_queue", "_receivers")
 
     def __init__(self, sim: Simulator, name: str = "mbox") -> None:
         self.sim = sim
         self.name = name
-        self._items: Deque[Any] = deque()
-        self._waiters: Deque[SimEvent] = deque()
+        self._queue: Optional[Deque[Any]] = None
+        self._receivers = False
 
     def __len__(self) -> int:
-        return len(self._items)
+        if self._queue is None or self._receivers:
+            return 0
+        return len(self._queue)
 
     def send(self, item: Any) -> None:
         """Deposit a message; wakes one waiting receiver (if any)."""
-        if self._waiters:
-            self._waiters.popleft().succeed(item)
+        queue = self._queue
+        if queue is None:
+            self._queue = deque((item,))
+        elif self._receivers:
+            ev = queue.popleft()
+            if not queue:
+                self._receivers = False
+            ev.succeed(item)
         else:
-            self._items.append(item)
+            queue.append(item)
 
     def recv(self) -> Waitable:
         """Waitable for the next message (immediate if one is queued)."""
         ev = self.sim.event()
-        if self._items:
-            ev.succeed(self._items.popleft())
+        queue = self._queue
+        if queue is None:
+            self._queue = deque((ev,))
+            self._receivers = True
+        elif queue and not self._receivers:
+            ev.succeed(queue.popleft())
         else:
-            self._waiters.append(ev)
+            queue.append(ev)
+            self._receivers = True
         return ev
 
     def try_recv(self) -> Optional[Any]:
         """Non-blocking receive; ``None`` when empty."""
-        if self._items:
-            return self._items.popleft()
+        if self._queue and not self._receivers:
+            return self._queue.popleft()
         return None
 
 

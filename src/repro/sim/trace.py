@@ -47,6 +47,11 @@ class PhaseTimer:
     previous phase.  ``stop`` closes the current phase.
     """
 
+    __slots__ = (
+        "sim", "_acc", "_current", "_started_at", "_spans", "_span_actor",
+        "_span_parent", "current_span",
+    )
+
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._acc: Dict[str, float] = defaultdict(float)

@@ -104,6 +104,40 @@ class TestMemoryLifecycle:
         assert marks["dt"] == pytest.approx(cost.mr_register_us(256 * 1024 * 1024))
         assert ctx.registered_bytes == 256 * 1024 * 1024
 
+    def test_dereg_returns_model_bytes(self, rig2):
+        """dereg_mr gives back what reg_mr charged, not the backing size."""
+        ctx = rig2.ctxs[0]
+        out = {}
+
+        def proc(sim):
+            region = yield from ctx.reg_mr(
+                ctx.mm.alloc(4096), model_bytes=256 * 1024 * 1024
+            )
+            yield from ctx.dereg_mr(region)
+            out["bytes"] = ctx.registered_bytes
+
+        spawn(rig2.sim, proc(rig2.sim))
+        rig2.sim.run()
+        assert out["bytes"] == 0
+
+    def test_reg_mr_needs_allocation_base(self, rig2):
+        """A non-base address fails before any pinning time is charged,
+        and the lookup leaves the backing unmaterialised."""
+        ctx = rig2.ctxs[0]
+        out = {}
+
+        def proc(sim):
+            addr = ctx.mm.alloc(4096)
+            for model_bytes in (None, 1 << 20):
+                with pytest.raises(MemoryRegistrationError):
+                    yield from ctx.reg_mr(addr + 64, model_bytes=model_bytes)
+            out["now"] = sim.now
+            out["unmaterialised"] = ctx.mm._buffers[addr] == 4096
+
+        spawn(rig2.sim, proc(rig2.sim))
+        rig2.sim.run()
+        assert out == {"now": 0.0, "unmaterialised": True}
+
 
 class TestBulkValidation:
     def test_negative_bulk_rejected(self, rig2):

@@ -1,6 +1,10 @@
 """Unit tests for mailboxes, semaphores, barriers and latches."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Barrier, Latch, Mailbox, Semaphore, Simulator, spawn
 
@@ -81,6 +85,51 @@ class TestMailbox:
         assert len(mbox) == 1
         assert mbox.try_recv() == 7
         assert mbox.try_recv() is None
+
+
+_MAILBOX_OPS = st.lists(
+    st.sampled_from(["send", "recv", "try_recv", "len"]), max_size=60
+)
+
+
+class TestMailboxAgainstTwoDeques:
+    """The one-queue Mailbox behaves like the two-deque reference: one
+    deque of queued messages, one of waiting receivers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_MAILBOX_OPS)
+    def test_matches_reference_model(self, ops):
+        sim = Simulator()
+        mbox = Mailbox(sim)
+        items, waiters = deque(), deque()  # the reference model
+        woken, expected_woken = [], []
+        next_msg = 0
+        for step, op in enumerate(ops):
+            if op == "send":
+                mbox.send(next_msg)
+                if waiters:
+                    expected_woken.append((waiters.popleft(), next_msg))
+                else:
+                    items.append(next_msg)
+                next_msg += 1
+            elif op == "recv":
+                ev = mbox.recv()
+                if items:
+                    assert ev.triggered and ev.value == items.popleft()
+                else:
+                    assert not ev.triggered
+                    waiters.append(step)
+                    ev.add_callback(
+                        lambda e, tag=step: woken.append((tag, e.value))
+                    )
+            elif op == "try_recv":
+                expected = items.popleft() if items else None
+                assert mbox.try_recv() == expected
+            else:
+                assert len(mbox) == len(items)
+            sim.run()
+            assert woken == expected_woken
+            assert len(mbox) == len(items)
 
 
 class TestSemaphore:
