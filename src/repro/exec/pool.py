@@ -45,18 +45,21 @@ import gc
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from numbers import Integral
 from typing import Any, Iterable, List, Mapping, Optional, Tuple
 
 from ..cluster.params import CostModel
 from ..core import Job, RuntimeConfig
 from ..errors import ConfigError
-from .identity import default_ppn, spec_description, spec_identity
+from .identity import spec_identity
 
 __all__ = ["JobSpec", "SweepError", "execute", "resolve_workers", "run_sweep"]
 
-_TESTBEDS = ("A", "B")
+#: The ppn each testbed runs with when a spec leaves it ``None``.
+_DEFAULT_PPN = {"A": 8, "B": 16}
+_TESTBEDS = tuple(_DEFAULT_PPN)
 _COST_FIELDS = frozenset(f.name for f in fields(CostModel))
 
 #: Jobs at or above this size leave enough cyclic garbage (generators,
@@ -68,14 +71,24 @@ _COST_FIELDS = frozenset(f.name for f in fields(CostModel))
 _GC_SWEEP_NPES = 256
 
 
+def _count(name: str, value: Any) -> int:
+    """``value`` as a plain ``int``, or a one-line ConfigError unless it
+    is a positive, non-bool integer."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ConfigError(
+            f"JobSpec.{name} must be a positive integer, got {value!r}"
+        )
+    return int(value)
+
+
 class SweepError(RuntimeError):
     """A sweep job failed; carries the spec and the original exception.
 
     The message names the job by its collision-free :attr:`JobSpec.
     identity` (with the display ``label``, when set, as a prefix) so a
     failure is never misattributed to a different point of the grid —
-    ``label`` alone can be shared, and the descriptive ``key`` elides
-    override details.
+    ``label`` alone can be shared.  The identity is computed when the
+    spec is built, so naming the failed job cannot itself raise.
     """
 
     def __init__(self, spec: "JobSpec", cause: BaseException) -> None:
@@ -98,6 +111,11 @@ class JobSpec:
     no second copy of any config field.  App instances must be
     picklable module-level classes holding plain parameters — every
     app in ``repro.apps`` and ``repro.bench.microbench`` qualifies.
+
+    Construction validates every field and computes :attr:`identity`,
+    the spec's one name, so a bad scalar, a non-``RuntimeConfig``
+    config or a non-plain app parameter fails here with a one-line
+    :class:`ConfigError` instead of deep inside the run.
     """
 
     app: Any
@@ -111,21 +129,31 @@ class JobSpec:
     cost_overrides: Optional[Tuple[Tuple[str, Any], ...]] = None
     #: Human-readable tag used in error messages.
     label: Optional[str] = None
+    #: Collision-free name (see :func:`spec_identity`): the descriptive
+    #: form — ``label`` never shadows it — plus a short content digest
+    #: covering every semantic field.  Set at construction.
+    identity: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.npes < 1:
-            raise ConfigError(f"JobSpec.npes must be >= 1, got {self.npes}")
+        set_ = object.__setattr__
+        set_(self, "npes", _count("npes", self.npes))
+        if self.ppn is not None:
+            set_(self, "ppn", _count("ppn", self.ppn))
         if self.testbed not in _TESTBEDS:
             raise ConfigError(
                 f"JobSpec.testbed must be one of {_TESTBEDS}, "
                 f"got {self.testbed!r}"
             )
-        if self.ppn is not None and self.ppn < 1:
-            raise ConfigError(f"JobSpec.ppn must be >= 1, got {self.ppn}")
+        if not isinstance(self.config, RuntimeConfig):
+            raise ConfigError(
+                f"JobSpec.config must be a RuntimeConfig, "
+                f"got {type(self.config).__name__}"
+            )
         overrides = self.cost_overrides
         if isinstance(overrides, Mapping):
             overrides = tuple(sorted(overrides.items()))
-            object.__setattr__(self, "cost_overrides", overrides)
+        # An empty override set is no override at all.
+        set_(self, "cost_overrides", overrides or None)
         if overrides:
             # Validate here, with the offending key in hand — a
             # misspelt field or an unhashable value (e.g. a list) would
@@ -156,25 +184,7 @@ class JobSpec:
                         f"JobSpec.cost_overrides[{key!r}] must be a "
                         f"hashable value, got {value!r}"
                     )
-
-    @property
-    def key(self) -> str:
-        """Display string: the ``label`` when set, else the descriptive
-        form of :func:`spec_description`.  NOT collision-free — distinct
-        specs can share a label, and the derived form elides override
-        details.  Anything attributing behaviour to a spec (errors,
-        dedup, caching) must use :attr:`identity` or
-        :func:`repro.exec.spec_hash` instead.
-        """
-        return self.label or spec_description(self)
-
-    @property
-    def identity(self) -> str:
-        """Collision-free identity string (see :func:`spec_identity`):
-        the derived descriptive form — ``label`` never shadows it —
-        plus a short content-hash suffix covering every semantic field,
-        including ``cost_overrides`` and every config field."""
-        return spec_identity(self)
+        set_(self, "identity", spec_identity(self))
 
 
 @lru_cache(maxsize=32)
@@ -191,7 +201,7 @@ def _custom_cluster(testbed: str, npes: int, ppn: int,
 def _cluster_for(spec: JobSpec):
     from ..cluster import cluster_a, cluster_b
 
-    ppn = spec.ppn if spec.ppn is not None else default_ppn(spec.testbed)
+    ppn = spec.ppn if spec.ppn is not None else _DEFAULT_PPN[spec.testbed]
     if spec.cost_overrides:
         return _custom_cluster(spec.testbed, spec.npes, ppn,
                                spec.cost_overrides)

@@ -79,13 +79,13 @@ class TestJobSpecWiring:
         spec = JobSpec(app=HelloWorld(), npes=4,
                        config=RuntimeConfig.proposed().evolve(check=True))
         assert spec.config.check == CheckPlan()
-        assert spec.key.endswith("check")
+        assert spec.identity.split("#")[0].endswith("-check")
 
     def test_false_becomes_none(self):
         spec = JobSpec(app=HelloWorld(), npes=4,
                        config=RuntimeConfig.proposed().evolve(check=False))
         assert spec.config.check is None
-        assert "check" not in spec.key
+        assert "check" not in spec.identity.split("#")[0]
 
     def test_dict_is_parsed(self):
         spec = JobSpec(app=HelloWorld(), npes=4,

@@ -15,7 +15,7 @@ from repro.check import CheckPlan
 from repro.cluster import cluster_b
 from repro.core import Job, RuntimeConfig
 from repro.errors import ConfigError
-from repro.exec import JobSpec, execute, spec_hash
+from repro.exec import JobSpec, execute
 from repro.faults import FaultPlan, UDFault
 from repro.gasnet import LifecyclePolicy
 
@@ -46,10 +46,10 @@ def test_explicit_false_switches_a_config_opt_in_off(field, job_kwarg, is_on):
     assert not is_on(_job(cfg, **{job_kwarg: False}).run(HelloWorld()))
     assert not is_on(execute(_spec(cfg.evolve(**{field: False}))))
     # The runner helpers once read observe=False as "unset", so the
-    # config's observe=True still ran and named the hashed run.
+    # config's observe=True still ran and named the run.
     spec = job_spec(HelloWorld(), 8, cfg, testbed="B", ppn=4,
                     **{field: False})
-    assert spec_hash(spec) == spec_hash(_spec(off))
+    assert spec.identity == _spec(off).identity
     assert not is_on(run_job(HelloWorld(), 8, cfg, testbed="B", ppn=4,
                              **{field: False}))
 

@@ -1,26 +1,29 @@
-"""Canonical JobSpec identity: aliasing matrix, distinctness, bugfixes.
+"""JobSpec identity: aliasing matrix, distinctness, bugfixes.
 
 Three families of property:
 
 * **Aliasing** — trivially different spellings of the *same effective
-  run* must share a content hash (dict vs pre-sorted tuple overrides,
-  ``check=True`` vs ``CheckPlan()``, ``observe={"timeline": True}`` vs
-  an explicit ``TimelineConfig``, a ``job_spec`` seed override vs the
-  config seed, explicit default ppn vs ``ppn=None``, empty plans vs
-  absent plans, and any ``label``).
+  run* that ``RuntimeConfig`` or ``JobSpec`` fold at construction must
+  share an identity (dict vs pre-sorted tuple overrides, ``check=True``
+  vs ``CheckPlan()``, ``observe={"timeline": True}`` vs an explicit
+  ``TimelineConfig``, a ``job_spec`` seed override vs the config seed,
+  empty plans vs absent plans, and any ``label``).
 * **Distinctness** — two specs differing in *any* semantic field must
-  never share a hash; this pins the historical ``key`` bugs where
-  ``faults`` and ``cost_overrides`` silently vanished from identity,
-  and perturbs every ``RuntimeConfig`` field so a new field can never
-  be left out of the hash.
+  never share an identity; this pins the historical bugs where
+  ``faults`` and ``cost_overrides`` silently vanished from a spec's
+  name, and perturbs every ``RuntimeConfig`` field so a new field can
+  never be left out of the digest.
 * **Bugfix regressions** — ``SweepError`` names specs collision-free,
-  and unhashable ``cost_overrides`` values fail at construction with a
-  one-line ``ConfigError`` instead of a deep ``lru_cache`` TypeError.
+  non-plain app parameters fail at construction (so naming a failed
+  spec cannot raise), and unhashable ``cost_overrides`` values fail at
+  construction with a one-line ``ConfigError`` instead of a deep
+  ``lru_cache`` TypeError.
 """
 
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.apps import HelloWorld, NasEP
@@ -28,8 +31,7 @@ from repro.bench.runner import job_spec
 from repro.check import CheckPlan
 from repro.core import RuntimeConfig
 from repro.errors import ConfigError
-from repro.exec import (JobSpec, SweepError, canonical_json, canonical_spec,
-                        execute, run_sweep, spec_hash, spec_identity)
+from repro.exec import JobSpec, SweepError, execute, run_sweep, spec_identity
 from repro.faults import FaultPlan, UDFault
 from repro.gasnet import LifecyclePolicy
 from repro.obs.timeline import TimelineConfig
@@ -50,79 +52,74 @@ LOSSY = FaultPlan(name="loss", ud=(UDFault("drop", prob=0.1),))
 
 
 # ----------------------------------------------------------------------
-# aliasing: same effective run, same hash
+# aliasing: same effective run, same identity
 # ----------------------------------------------------------------------
 class TestAliasing:
     def test_label_is_not_hashed(self):
-        assert spec_hash(_spec(label="run-A")) == spec_hash(
+        assert spec_identity(_spec(label="run-A")) == spec_identity(
             _spec(label="totally-different"))
-        assert spec_hash(_spec(label="run-A")) == spec_hash(_spec())
+        assert spec_identity(_spec(label="run-A")) == spec_identity(_spec())
 
     def test_dict_and_sorted_tuple_overrides_alias(self):
         as_dict = _spec(cost_overrides={"qp_cache_entries": 8,
                                         "poll_cq_us": 0.2})
         as_tuple = _spec(cost_overrides=(("poll_cq_us", 0.2),
                                          ("qp_cache_entries", 8)))
-        assert spec_hash(as_dict) == spec_hash(as_tuple)
+        assert spec_identity(as_dict) == spec_identity(as_tuple)
 
     def test_int_and_float_override_values_alias_like_json(self):
         # json canonicalisation: 8 and 8.0 are distinct (int vs float),
         # but 0.2 spelled twice is identical.
         a = _spec(cost_overrides={"poll_cq_us": 0.2})
         b = _spec(cost_overrides=(("poll_cq_us", 0.2),))
-        assert spec_hash(a) == spec_hash(b)
+        assert spec_identity(a) == spec_identity(b)
 
     def test_check_true_aliases_default_plan(self):
-        assert spec_hash(_cfg(check=True)) == spec_hash(
+        assert spec_identity(_cfg(check=True)) == spec_identity(
             _cfg(check=CheckPlan()))
 
     def test_check_in_config_aliases_check_on_spec(self):
         on_spec = job_spec(HelloWorld(), 8, RuntimeConfig.proposed(),
                            check=CheckPlan())
         in_config = _spec(config=RuntimeConfig.proposed(check=CheckPlan()))
-        assert spec_hash(on_spec) == spec_hash(in_config)
+        assert spec_identity(on_spec) == spec_identity(in_config)
 
     def test_observe_dict_aliases_timeline_config(self):
         as_dict = _cfg(observe={"timeline": True})
         as_config = _cfg(observe={"timeline": TimelineConfig()})
-        assert spec_hash(as_dict) == spec_hash(as_config)
+        assert spec_identity(as_dict) == spec_identity(as_config)
 
     def test_observe_interval_dict_aliases_explicit_config(self):
         as_dict = _cfg(observe={"timeline": {"interval_us": 500.0}})
         as_config = _cfg(
             observe={"timeline": TimelineConfig(interval_us=500.0)})
-        assert spec_hash(as_dict) == spec_hash(as_config)
+        assert spec_identity(as_dict) == spec_identity(as_config)
 
     def test_spec_seed_aliases_config_seed(self):
         via_spec = job_spec(HelloWorld(), 8, RuntimeConfig.proposed(), seed=7)
         via_config = _spec(config=RuntimeConfig.proposed(seed=7))
-        assert spec_hash(via_spec) == spec_hash(via_config)
-
-    def test_none_ppn_aliases_testbed_default(self):
-        assert spec_hash(_spec(testbed="A", ppn=None)) == spec_hash(
-            _spec(testbed="A", ppn=8))
-        assert spec_hash(_spec(testbed="B", ppn=None)) == spec_hash(
-            _spec(testbed="B", ppn=16))
+        assert spec_identity(via_spec) == spec_identity(via_config)
 
     def test_empty_fault_plan_aliases_absent(self):
-        assert spec_hash(_cfg(fault_plan=FaultPlan(name="noop"))) == spec_hash(
+        assert spec_identity(_cfg(fault_plan=FaultPlan(name="noop"))) == spec_identity(
             _cfg(fault_plan=None))
 
     def test_empty_overrides_alias_absent(self):
-        assert spec_hash(_spec(cost_overrides={})) == spec_hash(
+        assert _spec(cost_overrides={}) == _spec(cost_overrides=None)
+        assert spec_identity(_spec(cost_overrides=())) == spec_identity(
             _spec(cost_overrides=None))
 
     def test_disabled_lifecycle_aliases_absent(self):
         enabled_off = RuntimeConfig.proposed(
             lifecycle=LifecyclePolicy(enabled=False))
-        assert spec_hash(_spec(config=enabled_off)) == spec_hash(
+        assert spec_identity(_spec(config=enabled_off)) == spec_identity(
             _spec(config=RuntimeConfig.proposed()))
 
     def test_lifecycle_under_static_mode_aliases_absent(self):
         static = RuntimeConfig.current()
         static_with = RuntimeConfig.current(lifecycle=LifecyclePolicy())
         assert static.connection_mode == "static"
-        assert spec_hash(_spec(config=static_with)) == spec_hash(
+        assert spec_identity(_spec(config=static_with)) == spec_identity(
             _spec(config=static))
 
     def test_aliased_specs_produce_equal_results(self):
@@ -132,24 +129,22 @@ class TestAliasing:
                             ppn=2, seed=7)
         via_config = _spec(npes=4, ppn=2,
                            config=RuntimeConfig.proposed(seed=7))
-        assert spec_hash(via_spec) == spec_hash(via_config)
+        assert spec_identity(via_spec) == spec_identity(via_config)
         assert execute(via_spec) == execute(via_config)
 
 
 # ----------------------------------------------------------------------
-# distinctness: any semantic difference, different hash
+# distinctness: any semantic difference, different identity
 # ----------------------------------------------------------------------
 class TestDistinctness:
     def test_faults_only_difference_changes_the_hash(self):
-        # The regression ISSUE names: two specs differing ONLY in
-        # faults must never share an identity.
-        plain = _spec()
-        lossy = _cfg(fault_plan=LOSSY)
-        assert spec_hash(plain) != spec_hash(lossy)
-        assert spec_identity(plain) != spec_identity(lossy)
+        # Two specs differing ONLY in faults must never share an
+        # identity.
+        assert spec_identity(_spec()) != spec_identity(
+            _cfg(fault_plan=LOSSY))
 
     def test_cost_overrides_only_difference_changes_the_hash(self):
-        assert spec_hash(_spec()) != spec_hash(
+        assert spec_identity(_spec()) != spec_identity(
             _spec(cost_overrides={"qp_cache_entries": 8}))
 
     def test_semantic_field_matrix(self):
@@ -169,8 +164,6 @@ class TestDistinctness:
             _cfg(macro_phases=True),
             _spec(app=NasEP()),
         ]
-        hashes = [spec_hash(s) for s in variants]
-        assert len(set(hashes)) == len(variants)
         identities = [spec_identity(s) for s in variants]
         assert len(set(identities)) == len(variants)
 
@@ -178,10 +171,10 @@ class TestDistinctness:
         a = _cfg(fault_plan=LOSSY)
         b = _cfg(fault_plan=FaultPlan(name="loss",
                                       ud=(UDFault("drop", prob=0.2),)))
-        assert spec_hash(a) != spec_hash(b)
+        assert spec_identity(a) != spec_identity(b)
 
     def test_app_params_change_the_hash(self):
-        assert spec_hash(_spec(app=NasEP(real_pairs=100))) != spec_hash(
+        assert spec_identity(_spec(app=NasEP(real_pairs=100))) != spec_identity(
             _spec(app=NasEP(real_pairs=200)))
 
 
@@ -219,7 +212,7 @@ class TestEveryConfigField:
         perturbed = _cfg(**overrides)
         (name,) = overrides
         assert getattr(perturbed.config, name) != getattr(base.config, name)
-        assert spec_hash(perturbed) != spec_hash(base)
+        assert spec_identity(perturbed) != spec_identity(base)
 
     @pytest.mark.parametrize("overrides, tag", [
         ({"observe": True}, "obs"),
@@ -233,48 +226,55 @@ class TestEveryConfigField:
     def test_config_opt_ins_show_in_the_description(self, overrides, tag):
         spec = _cfg(**overrides)
         part = f"-{tag}-"
-        assert part in f"{spec.key}-"
-        assert part in f"{spec_identity(spec).split('#')[0]}-"
-        assert part not in f"{_spec().key}-"
+        assert part in f"{spec.identity.split('#')[0]}-"
+        assert part not in f"{_spec().identity.split('#')[0]}-"
 
 
 # ----------------------------------------------------------------------
-# canonical form mechanics
+# identity mechanics
 # ----------------------------------------------------------------------
 class TestCanonicalForm:
-    def test_canonical_json_is_stable_and_sorted(self):
-        spec = _spec(config=RuntimeConfig.proposed(seed=3),
-                     cost_overrides={"qp_cache_entries": 8})
-        assert canonical_json(spec) == canonical_json(spec)
-        assert canonical_json(spec).startswith('{"app":')
-
-    def test_canonical_spec_has_no_label(self):
-        canon = canonical_spec(_spec(label="secret-name"))
-        assert "secret-name" not in canonical_json(_spec(label="secret-name"))
-        assert "label" not in canon
-
     def test_hash_survives_pickling(self):
         spec = _spec(config=RuntimeConfig.proposed(seed=3, observe=True),
                      cost_overrides={"qp_cache_entries": 8})
-        assert spec_hash(pickle.loads(pickle.dumps(spec))) == spec_hash(spec)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert spec_identity(clone) == spec_identity(spec) == clone.identity
 
     def test_hash_is_hex_sha256(self):
-        digest = spec_hash(_spec())
-        assert len(digest) == 64
+        description, digest = spec_identity(_spec()).split("#")
+        assert description == "hello-n8-ondemand+nonblocking+intranode-tbA"
+        assert len(digest) == 12
         assert int(digest, 16) >= 0
 
 
 # ----------------------------------------------------------------------
 # bugfix regressions
 # ----------------------------------------------------------------------
-class TestSweepErrorIdentity:
-    class _Boom(HelloWorld):
-        pass
+class _Tagged(HelloWorld):
+    """An app holding a parameter that may not be plain data."""
 
+    def __init__(self, tags):
+        self.tags = tags
+
+
+class _Retags(HelloWorld):
+    """Replaces its plain parameter with a set mid-run, then fails."""
+
+    def __init__(self):
+        self.tags = ["a"]
+
+    def run(self, pe):
+        self.tags = {"a"}
+        yield pe.sim.timeout(1.0)
+        raise ValueError("kaboom")
+
+
+class TestSweepErrorIdentity:
     def test_error_names_are_collision_free(self):
-        # Historically SweepError used spec.key, where label shadowed
-        # the derived identity — two different failing specs with the
-        # same label were indistinguishable in the error text.
+        # Historically SweepError named a spec by its label when set,
+        # which shadowed the derived identity — two different failing
+        # specs with the same label were indistinguishable in the error
+        # text.
         a = _spec(label="point")
         b = _spec(label="point",
                   config=RuntimeConfig.proposed(fault_plan=LOSSY))
@@ -290,6 +290,23 @@ class TestSweepErrorIdentity:
     def test_identity_property_matches_function(self):
         spec = _cfg(seed=5)
         assert spec.identity == spec_identity(spec)
+
+    @pytest.mark.parametrize("tags", [{"a"}, np.arange(3), float("nan")],
+                             ids=["set", "ndarray", "nan"])
+    def test_non_plain_app_param_fails_at_construction(self, tags):
+        # Such a spec used to build and run; naming it in SweepError
+        # then raised this ConfigError in place of the job's own error.
+        match = r"^JobSpec identity: app\.tags"
+        with pytest.raises(ConfigError, match=match) as info:
+            _spec(app=_Tagged(tags))
+        assert "\n" not in str(info.value)
+
+    def test_naming_a_failed_spec_never_hides_its_error(self):
+        spec = _spec(npes=4, ppn=2, app=_Retags())
+        with pytest.raises(SweepError) as info:
+            run_sweep([spec], max_workers=1)
+        assert isinstance(info.value.cause.cause, ValueError)
+        assert spec.identity in str(info.value)
 
 
 class TestUnhashableOverrides:

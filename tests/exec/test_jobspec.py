@@ -1,4 +1,4 @@
-"""JobSpec: validation, normalisation, pickling, seed handling."""
+"""JobSpec: validation, normalisation, identity, pickling, seed handling."""
 
 import pickle
 
@@ -38,6 +38,25 @@ class TestValidation:
         assert "\n" not in str(info.value)
 
 
+# ----------------------------------------------------------------------
+# bad scalars fail at construction, not deep inside the run
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("field, value", [
+    ("npes", 4.5),
+    ("npes", True),
+    ("npes", "8"),
+    ("ppn", 2.5),
+    ("ppn", True),
+    ("ppn", "2"),
+    ("config", {"seed": 1}),
+    ("config", None),
+])
+def test_bad_scalar_is_a_one_line_config_error(field, value):
+    with pytest.raises(ConfigError, match=f"^JobSpec.{field} must be") as exc:
+        _spec(**{field: value})
+    assert "\n" not in str(exc.value)
+
+
 class TestNormalisation:
     def test_cost_overrides_mapping_becomes_sorted_tuple(self):
         spec = _spec(cost_overrides={"qp_cache_entries": 8,
@@ -52,20 +71,16 @@ class TestNormalisation:
 
 
 class TestKey:
+    """The spec's one name, :attr:`JobSpec.identity`."""
+
     def test_default_key_encodes_the_point(self):
         spec = _spec(npes=32, testbed="B", ppn=16)
-        assert "hello" in spec.key
-        assert "n32" in spec.key
-        assert "tbB" in spec.key
-        assert "ppn16" in spec.key
+        assert spec.identity.startswith(
+            "hello-n32-ondemand+nonblocking+intranode-tbB-ppn16#")
 
     def test_seed_and_observe_show_up(self):
         spec = _spec(config=RuntimeConfig.proposed(seed=7, observe=True))
-        assert "seed7" in spec.key
-        assert "obs" in spec.key
-
-    def test_label_wins(self):
-        assert _spec(label="my-point").key == "my-point"
+        assert "-seed7-obs#" in spec.identity
 
 
 class TestPickling:
@@ -75,7 +90,7 @@ class TestPickling:
                      cost_overrides={"qp_cache_entries": 32})
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
-        assert clone.key == spec.key
+        assert clone.identity == spec.identity
 
 
 class TestExecute:

@@ -9,6 +9,7 @@ failing spec attached.
 """
 
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -135,6 +136,19 @@ def _grid():
     ]
 
 
+def _normalised_bytes(result):
+    """The pickled bytes of ``result`` after one dump/load/dump.
+
+    A plain ``pickle.dumps`` also records the object graph's sharing,
+    which differs between an in-process result and one that crossed the
+    pool's pickle boundary (unpickling interns instance-dict keys, so
+    equal strings that were distinct objects become one).  The round
+    trip is a fixed point: both paths re-pickle to the same bytes when
+    their contents are the same.
+    """
+    return pickle.dumps(pickle.loads(pickle.dumps(result)))
+
+
 @needs_fork
 class TestParallelEqualsSerial:
     def test_job_results_identical(self, monkeypatch):
@@ -148,6 +162,17 @@ class TestParallelEqualsSerial:
         # including counters and the observe=True telemetry payload.
         assert serial == parallel
         assert serial[3].telemetry is not None
+
+    def test_worker_results_byte_identical(self, monkeypatch):
+        # Results computed in pool workers cross a pickle boundary; their
+        # bytes must still match an in-process run exactly.  == can hold
+        # where the bytes differ (a float field -0.0 vs 0.0, an int vs an
+        # equal float); the pickles cannot.
+        monkeypatch.delenv("REPRO_PAR", raising=False)
+        serial = run_sweep(_grid(), max_workers=1)
+        parallel = pool_mod._run_parallel(_grid(), 2)
+        assert ([_normalised_bytes(r) for r in serial]
+                == [_normalised_bytes(r) for r in parallel])
 
     def test_experiment_tables_identical(self, monkeypatch):
         from repro.bench.experiments import fig5_startup
